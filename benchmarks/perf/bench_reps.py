@@ -3,8 +3,9 @@
 Generates an HPCG-class trace (many repeated iterations of the same
 phase structure), then folds the performance direction twice:
 
-* **exact** — :func:`repro.folding.extrapolate.exact_performance_fold`:
-  every instance's samples go through the kernel-regression design;
+* **exact** — :func:`repro.folding.stream.stream_fold_trace` with the
+  whole table as one chunk: the fold kernel's performance-only fold,
+  every instance's samples through the kernel-regression design;
 * **representative** — ``fold_trace(trace, rep_budget=N)``: cluster the
   per-instance signatures, fold only the ``N`` medoid instances, and
   extrapolate by cluster weight.
@@ -36,9 +37,9 @@ import time
 from pathlib import Path
 
 from repro.extrae.tracer import TracerConfig
-from repro.folding.extrapolate import exact_performance_fold, measure_fidelity
+from repro.folding.extrapolate import measure_fidelity
 from repro.folding.report import fold_trace
-from repro.folding.stream import fold_digest
+from repro.folding.stream import fold_digest, stream_fold_trace
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads import HpcgConfig, HpcgWorkload
 
@@ -99,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     generate_s = time.perf_counter() - t0
 
     exact_s, exact = best_of(
-        args.repeats, lambda: exact_performance_fold(trace)
+        args.repeats,
+        lambda: stream_fold_trace(trace, chunk_rows=trace.n_samples),
     )
     rep_s, rep = best_of(
         args.repeats, lambda: fold_trace(trace, rep_budget=args.budget)

@@ -203,18 +203,13 @@ def _fold_one(
         rep_budget=rep_budget,
         rep_seed=rep_seed,
     )
-    # The exact report counts kept samples on .samples.n; the
-    # extrapolated fold counts the representative samples it folded.
-    n_folded = (
-        report.samples.n if hasattr(report, "samples") else report.n_folded
-    )
     return RankFold(
         rank=rank,
         seed=int(trace.metadata.get("seed", 0)),
         digest=trace.digest(),
         n_instances=report.instances.n,
         mean_instance_ns=float(report.instances.mean_duration_ns),
-        n_folded_samples=n_folded,
+        n_folded_samples=report.performance.n_folded,
         counters=report.counters,
         stats=compute_rank_stats(trace),
     )

@@ -7,13 +7,17 @@ evolution from coarse-grained sampling:
 
 * :mod:`repro.folding.detect` — delimit the instances (iteration
   markers or region occurrences), pruning outlier instances;
-* :mod:`repro.folding.fold` — project each sample to its instance-
-  relative normalized time σ ∈ [0, 1] and normalized cumulative
-  counter fractions;
+* :mod:`repro.folding.fold` — the fold kernel every driver shares: a
+  boundary scan (per-instance counter readings, kept count, σ span),
+  one projection of a sample chunk onto instance-relative normalized
+  time σ ∈ [0, 1] and clipped cumulative counter fractions, and the
+  resident per-sample view; the projected chunks feed one
+  :class:`~repro.util.pava.DesignAccumulator`;
 * :mod:`repro.folding.model` — fit smooth *monotone* cumulative curves
   per hardware counter (Gaussian kernel regression + PAVA) and
   differentiate them into instantaneous rates: MIPS, counter-per-
-  instruction, IPC;
+  instruction, IPC; :class:`PerformanceFold` is the one performance
+  product every fold path returns (:func:`fold_digest` compares them);
 * :mod:`repro.folding.address` — the folded address-space view (this
   paper's extension): sampled addresses vs σ with op, data source,
   latency and resolved data object;
@@ -26,11 +30,10 @@ evolution from coarse-grained sampling:
   against one plan);
 * :mod:`repro.folding.cache` — the opt-in content-addressed on-disk
   report cache keyed by (trace digest, fold parameters);
-* :mod:`repro.folding.stream` — bounded-memory chunkwise folding: the
-  exact two-pass :func:`stream_fold_trace` (counter curves
-  bit-identical to the resident fold) and the single-pass live
-  :class:`LiveFold`, both able to carry the streamed address/line
-  directions;
+* :mod:`repro.folding.stream` — the kernel over bounded-memory chunk
+  streams: the exact two-pass :func:`stream_fold_trace` and the
+  single-pass live :class:`LiveFold`, both able to carry the streamed
+  address/line directions;
 * :mod:`repro.folding.stream_views` — the bounded per-direction
   summaries behind the streamed :class:`StreamedReport`: exact
   additive address accounting, deterministic reservoir + density
@@ -58,21 +61,17 @@ from repro.folding.lines import FoldedLines, fold_lines
 from repro.folding.model import (
     FoldedCounters,
     FoldedCurve,
+    PerformanceFold,
     fit_counter_curves,
     fold_counters,
+    fold_digest,
     merge_counters,
 )
 from repro.folding.plan import FoldPlan
 from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.reps import Representatives, select_representatives
 from repro.folding.signatures import InstanceSignatures, instance_signatures
-from repro.folding.stream import (
-    LiveFold,
-    StreamedFold,
-    StreamingFold,
-    fold_digest,
-    stream_fold_trace,
-)
+from repro.folding.stream import LiveFold, StreamingFold, stream_fold_trace
 from repro.folding.stream_views import (
     StreamedAddresses,
     StreamedLines,
@@ -88,9 +87,9 @@ __all__ = [
     "FoldPlan",
     "InstanceSignatures",
     "LiveFold",
+    "PerformanceFold",
     "Representatives",
     "StreamedAddresses",
-    "StreamedFold",
     "StreamedLines",
     "StreamedReport",
     "StreamingFold",

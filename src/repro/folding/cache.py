@@ -45,7 +45,9 @@ __all__ = ["FOLD_CACHE_VERSION", "FoldCache"]
 #: report fields) so stale entries miss instead of resurfacing.
 #: v2: keys carry a ``kind`` discriminator so extrapolated
 #: (representative-instance) folds can never alias exact reports.
-FOLD_CACHE_VERSION = 2
+#: v3: one pickled performance type (``PerformanceFold``) for streamed
+#: entries; streamed keys carry a non-default counter subset.
+FOLD_CACHE_VERSION = 3
 
 _ENV_DIR = "REPRO_FOLD_CACHE_DIR"
 _SUFFIX = ".foldreport"
@@ -326,7 +328,7 @@ def _rewrap(report):
     (``report.addresses.annotate(...)``); re-wrapping on every memo
     store/hit keeps those mutations out of the memoized entry.
     Entries without an address view (the counters-only
-    :class:`~repro.folding.stream.StreamedFold` shares this cache with
+    :class:`~repro.folding.model.PerformanceFold` shares this cache with
     full reports under identical keys) have nothing mutable to shield
     and pass through as-is.
     """

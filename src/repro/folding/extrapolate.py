@@ -2,31 +2,20 @@
 
 The expensive half of a fold is per-sample — projecting every kept
 sample onto σ and aggregating the kernel-regression design.  With a
-:class:`~repro.folding.reps.Representatives` selection the design is
-built **only from the medoid instances' samples**, each weighted by its
+:class:`~repro.folding.reps.Representatives` selection the fold kernel
+projects **only the medoid instances' samples**, each weighted by its
 cluster size, so the per-sample cost scales with the representative
 budget instead of the instance count.  Per-instance *totals* and
-degenerate flags stay exact for every instance: they come from the same
-O(instances) boundary interpolation the exact fold performs, so the
+degenerate flags stay exact for every instance: they come from the
+kernel's O(instances) boundary scan over the whole trace, so the
 extrapolation only ever approximates curve *shape*, never the
 bookkeeping the validator checks.
 
-Exactness contract (the ``rep_budget = n_instances`` acceptance test):
-with an exhaustive selection the weighted pipeline degenerates to the
-exact fold **bit for bit** —
-
-* the per-instance searchsorted slices select the exact-fold rows in
-  the same time order;
-* σ and the cumulative fractions use the same expressions over the
-  same boundary readings (:func:`~repro.folding.fold.boundary_values` /
-  :func:`~repro.folding.fold.boundary_increments`);
-* all-ones weights through :func:`~repro.util.pava.make_design` are
-  value-identical to the unweighted design (multiplying by 1.0 is
-  exact), and weighted means ``(v·w).sum()/w.sum()`` with unit weights
-  reproduce ``v.mean()`` to the last bit (same pairwise summation);
-
-so :func:`~repro.folding.stream.fold_digest` of the extrapolated fold
-equals the exact fold's digest.  The property suite and
+With an exhaustive selection (``rep_budget = n_instances``) every
+weight is 1 and every kept row is projected in time order, so the
+weighted design equals the exact one bit for bit (multiplying by 1.0
+and summing unit weights are exact), and so does
+:func:`~repro.folding.model.fold_digest`.  The equivalence suite and
 ``benchmarks/perf/bench_reps.py`` enforce this.
 
 For ``budget < n`` the fidelity loss is **measured, not assumed**:
@@ -38,29 +27,26 @@ ones (the memory-access-vectors protocol, arXiv 2506.02344).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.extrae.trace import Trace
-from repro.folding.detect import FoldInstances
-from repro.folding.fold import boundary_increments, boundary_values, fold_samples
-from repro.folding.model import FoldedCounters, fit_counter_curves, fold_counters
+from repro.folding.fold import build_prologue, project
+from repro.folding.model import PerformanceFold, fit_counter_curves
 from repro.folding.reps import (
     Representatives,
     derive_instances,
     select_representatives,
 )
 from repro.folding.signatures import instance_sample_rows
-from repro.folding.stream import StreamedFold, fold_digest
+from repro.folding.stream import stream_fold_trace
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import make_design
 
 __all__ = [
     "ExtrapolatedFold",
     "FidelityBound",
-    "exact_performance_fold",
     "extrapolated_fold",
     "measure_fidelity",
 ]
@@ -121,54 +107,30 @@ class FidelityBound:
         )
 
 
-@dataclass
-class ExtrapolatedFold:
-    """A counters-only fold extrapolated from weighted representatives.
+@dataclass(kw_only=True)
+class ExtrapolatedFold(PerformanceFold):
+    """A performance fold extrapolated from weighted representatives.
 
-    Duck-compatible with :class:`~repro.folding.stream.StreamedFold`
-    (same performance-direction surface:
-    instances/counters/totals/degenerate/n_folded, ``digest()``,
-    ``summary()``, ``export_gnuplot()``), so
-    :func:`~repro.folding.stream.fold_digest` and the counters exporter
-    apply unchanged.  ``instances``/``totals``/``degenerate`` cover
-    *all* instances — only the fitted curves are extrapolated.
+    ``instances``/``totals``/``degenerate`` cover *all* instances — only
+    the fitted curves are extrapolated; ``n_folded`` counts the
+    representatives' samples.
     """
 
-    instances: FoldInstances
-    counters: FoldedCounters
-    totals: dict[str, np.ndarray]
-    degenerate: dict[str, np.ndarray]
-    #: samples actually folded — the representatives' samples only
-    n_folded: int
+    title = "Extrapolated fold"
+
     representatives: Representatives
     #: measured error vs. the exact fold, when a harness computed one
-    fidelity: FidelityBound | None = field(default=None)
+    fidelity: FidelityBound | None = None
 
-    def digest(self) -> str:
-        return fold_digest(self)
-
-    def summary(self) -> str:
+    def _details(self) -> list[str]:
         reps = self.representatives
-        parts = [
-            f"Extrapolated fold over {self.instances.n} instances "
-            f"of {self.instances.name!r}",
+        lines = [
             f"  representatives folded: {reps.n_clusters} "
-            f"(budget {reps.budget}, seed {reps.seed})",
-            f"  mean instance duration: "
-            f"{self.instances.mean_duration_ns / 1e6:.3f} ms",
-            f"  samples folded: {self.n_folded}",
+            f"(budget {reps.budget}, seed {reps.seed})"
         ]
         if self.fidelity is not None:
-            parts.append(f"  {self.fidelity.summary()}")
-        return "\n".join(parts)
-
-    def export_gnuplot(self, directory: str | Path) -> list[Path]:
-        """Write the performance panel (``counters.dat``) only."""
-        from repro.folding.report import export_counters_dat
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return [export_counters_dat(self.counters, directory)]
+            lines.append(f"  {self.fidelity.summary()}")
+        return lines
 
 
 def extrapolated_fold(
@@ -181,38 +143,23 @@ def extrapolated_fold(
 ) -> ExtrapolatedFold:
     """Fold only *representatives*' samples, extrapolate by weight."""
     table = trace.sample_table()
-    t = table.time_ns
     instances = representatives.instances
-    starts = instances.starts_ns
-    ends = instances.ends_ns
-
-    # Exact O(instances) bookkeeping over ALL instances, shared
-    # expressions with fold_samples.
-    c_start: dict[str, np.ndarray] = {}
-    denom: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    degenerate: dict[str, np.ndarray] = {}
-    for name in counters:
-        series = table.column(name)
-        cs = boundary_values(t, series, starts)
-        ce = boundary_values(t, series, ends)
-        totals[name], degenerate[name], denom[name] = boundary_increments(cs, ce)
-        c_start[name] = cs
-
+    prologue = build_prologue([table], instances, counters)
     sel = representatives.indices
     w = representatives.weights
-    rows, local = instance_sample_rows(t, starts[sel], ends[sel])
+    rows, _ = instance_sample_rows(
+        table.time_ns, instances.starts_ns[sel], instances.ends_ns[sel]
+    )
     if rows.size == 0:
         raise ValueError("representative instances contain no samples")
-    g = sel[local]  # global instance index of every kept sample
-    sigma = (t[rows] - starts[g]) / (ends[g] - starts[g])
-    Y = np.empty((len(counters), rows.size), dtype=np.float64)
-    for i, name in enumerate(counters):
-        value = table.column(name)[rows]
-        frac = (value - c_start[name][g]) / denom[name][g]
-        Y[i] = np.clip(frac, 0.0, 1.0)
-
-    design = make_design(sigma, Y, weights=w[local])
+    proj = project(
+        {name: table.column(name)[rows] for name in ("time_ns", *counters)},
+        instances,
+        prologue,
+    )
+    weight = np.zeros(instances.n, dtype=np.float64)
+    weight[sel] = w
+    design = make_design(proj.sigma, proj.fractions, weights=weight[proj.instance])
     wsum = w.sum()
     fitted = fit_counter_curves(
         design,
@@ -220,7 +167,7 @@ def extrapolated_fold(
         bandwidth=bandwidth,
         counters=tuple(counters),
         totals_mean={
-            name: float((totals[name][sel] * w).sum() / wsum)
+            name: float((prologue.totals[name][sel] * w).sum() / wsum)
             for name in counters
         },
         duration_ns=float((instances.durations_ns[sel] * w).sum() / wsum),
@@ -228,41 +175,10 @@ def extrapolated_fold(
     return ExtrapolatedFold(
         instances=instances,
         counters=fitted,
-        totals=totals,
-        degenerate=degenerate,
+        totals=prologue.totals,
+        degenerate=prologue.degenerate,
         n_folded=int(rows.size),
         representatives=representatives,
-    )
-
-
-def exact_performance_fold(
-    trace: Trace,
-    *,
-    instances: FoldInstances | None = None,
-    grid_points: int = 201,
-    bandwidth: float = 0.015,
-    prune_tolerance: float | None = 0.5,
-) -> StreamedFold:
-    """The exact counters-only fold the extrapolation is measured against.
-
-    Runs the resident :func:`~repro.folding.fold.fold_samples` +
-    :func:`~repro.folding.model.fold_counters` path (skipping the
-    address/line directions) and wraps the result in the
-    counters-only shape :func:`~repro.folding.stream.fold_digest`
-    understands.
-    """
-    if instances is None:
-        instances = derive_instances(trace, None, prune_tolerance)
-    folded = fold_samples(trace.sample_table(), instances)
-    fitted = fold_counters(
-        folded, grid_points=grid_points, bandwidth=bandwidth
-    )
-    return StreamedFold(
-        instances=instances,
-        counters=fitted,
-        totals=dict(folded.totals),
-        degenerate=dict(folded.degenerate),
-        n_folded=folded.n,
     )
 
 
@@ -289,11 +205,14 @@ def measure_fidelity(
     ext = extrapolated_fold(
         trace, reps, grid_points=grid_points, bandwidth=bandwidth
     )
-    exact = exact_performance_fold(
+    # The exact fold: the kernel over the whole table as one chunk,
+    # performance direction only.
+    exact = stream_fold_trace(
         trace,
-        instances=instances,
+        chunk_rows=max(trace.n_samples, 1),
         grid_points=grid_points,
         bandwidth=bandwidth,
+        prune_tolerance=prune_tolerance,
     )
 
     curve_error: dict[str, float] = {}

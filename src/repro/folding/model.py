@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.folding.detect import FoldInstances
 from repro.folding.fold import FoldedSamples
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import BinnedDesign, fit_design, make_design
@@ -29,9 +31,11 @@ from repro.util.pava import BinnedDesign, fit_design, make_design
 __all__ = [
     "FoldedCounters",
     "FoldedCurve",
+    "PerformanceFold",
     "counter_design",
     "fit_counter_curves",
     "fold_counters",
+    "fold_digest",
     "merge_counters",
 ]
 
@@ -117,8 +121,6 @@ class FoldedCounters:
         Hashes every curve's grid, cumulative fit, rate and mean total
         plus the mean instance duration — byte-exact, so two folds
         agree on the digest iff their fitted output is bit-identical.
-        The streaming-fold tests and ``bench_streamfold`` compare
-        streamed against resident folds through this.
         """
         h = hashlib.sha256()
         h.update(np.float64(self.duration_ns).tobytes())
@@ -196,8 +198,7 @@ def counter_design(
     """
     if folded.n == 0:
         raise ValueError("cannot fold counters without samples")
-    Y = np.stack([folded.fractions[name] for name in counters])
-    return make_design(folded.sigma, Y)
+    return make_design(folded.sigma, [folded.fractions[name] for name in counters])
 
 
 def fold_counters(
@@ -253,10 +254,9 @@ def fit_counter_curves(
 ) -> FoldedCounters:
     """Fit :class:`FoldedCounters` from a design plus instance stats.
 
-    The design-to-curves half of :func:`fold_counters`, factored out so
-    a streaming fold — which accumulates the design chunk by chunk and
-    never holds a :class:`~repro.folding.fold.FoldedSamples` — produces
-    its curves through the *same* code path as the resident fold.
+    The design-to-curves half of :func:`fold_counters`, shared by every
+    fold driver — including those that accumulate the design chunk by
+    chunk and never hold a :class:`~repro.folding.fold.FoldedSamples`.
     """
     if design.n_targets != len(counters):
         raise ValueError(
@@ -280,3 +280,85 @@ def fit_counter_curves(
             total_mean=total,
         )
     return FoldedCounters(curves=curves, duration_ns=duration_ns)
+
+
+@dataclass
+class PerformanceFold:
+    """The performance direction of a fold, whichever driver ran it.
+
+    Fitted curves, the per-instance totals and degenerate flags of every
+    instance, and the number of samples that entered the design.  The
+    streamed and live folds return it, a resident
+    :class:`~repro.folding.report.FoldedReport` exposes it as
+    :attr:`~repro.folding.report.FoldedReport.performance`, and
+    :class:`~repro.folding.extrapolate.ExtrapolatedFold` extends it.
+    """
+
+    title = "Fold"
+
+    instances: FoldInstances
+    counters: FoldedCounters
+    totals: dict[str, np.ndarray]
+    degenerate: dict[str, np.ndarray]
+    #: samples that fell inside an instance and entered the design
+    n_folded: int
+    #: chunks consumed by a streamed accumulation pass (0 otherwise)
+    n_chunks: int = 0
+    #: row-chunk size of that pass (0 when not applicable)
+    chunk_rows: int = 0
+
+    @property
+    def performance(self) -> "PerformanceFold":
+        return self
+
+    def digest(self) -> str:
+        return fold_digest(self)
+
+    def summary(self) -> str:
+        return "\n".join(
+            [
+                f"{self.title} over {self.instances.n} instances "
+                f"of {self.instances.name!r}",
+                f"  mean instance duration: "
+                f"{self.instances.mean_duration_ns / 1e6:.3f} ms",
+                f"  samples folded: {self.n_folded}",
+                *self._details(),
+            ]
+        )
+
+    def _details(self) -> list[str]:
+        if not self.n_chunks:
+            return []
+        return [f"  streamed in {self.n_chunks} chunks of {self.chunk_rows} rows"]
+
+    def export_gnuplot(self, directory: str | Path) -> list[Path]:
+        """Write the performance panel (``counters.dat``) only."""
+        from repro.folding.report import export_counters_dat
+
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        return [export_counters_dat(self.counters, directory)]
+
+
+def fold_digest(fold) -> str:
+    """Content digest of a fold's performance direction (hex SHA-256).
+
+    Accepts anything with a ``performance`` view — a
+    :class:`PerformanceFold`, a resident
+    :class:`~repro.folding.report.FoldedReport`, a streamed report —
+    and hashes the fitted curves, the kept-sample count, the instance
+    intervals and the per-instance totals/degenerate flags.  Two fold
+    paths agree iff their digests match.
+    """
+    perf = fold.performance
+    h = hashlib.sha256()
+    h.update(perf.counters.digest().encode())
+    h.update(np.int64(perf.n_folded).tobytes())
+    h.update(np.asarray(perf.instances.intervals, dtype=np.float64).tobytes())
+    for name in sorted(perf.totals):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(perf.totals[name], dtype=np.float64).tobytes())
+        h.update(
+            np.asarray(perf.degenerate[name], dtype=bool).astype(np.uint8).tobytes()
+        )
+    return h.hexdigest()

@@ -20,7 +20,7 @@ from repro.folding.address import FoldedAddresses
 from repro.folding.detect import FoldInstances
 from repro.folding.fold import FoldedSamples
 from repro.folding.lines import FoldedLines
-from repro.folding.model import FoldedCounters
+from repro.folding.model import FoldedCounters, PerformanceFold
 from repro.memsim.datasource import DataSource
 from repro.objects.registry import DataObjectRegistry
 
@@ -38,6 +38,17 @@ class FoldedReport:
     addresses: FoldedAddresses
     lines: FoldedLines
     registry: DataObjectRegistry
+
+    @property
+    def performance(self) -> PerformanceFold:
+        """The performance direction alone, as every fold path returns it."""
+        return PerformanceFold(
+            instances=self.instances,
+            counters=self.counters,
+            totals=self.samples.totals,
+            degenerate=self.samples.degenerate,
+            n_folded=self.samples.n,
+        )
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
@@ -127,9 +138,9 @@ class FoldedReport:
 def export_counters_dat(counters: FoldedCounters, directory: str | Path) -> Path:
     """Write the performance panel (``counters.dat``) of *counters*.
 
-    Shared by the resident report and the streamed fold
-    (:class:`~repro.folding.stream.StreamedFold`), so both paths emit
-    byte-identical files from identical curves.
+    Shared by the resident report and
+    :class:`~repro.folding.model.PerformanceFold`, so every fold path
+    emits byte-identical files from identical curves.
     """
     directory = Path(directory)
     path = directory / "counters.dat"
@@ -176,10 +187,6 @@ def fold_trace(
     prune_tolerance: float | None = 0.5,
     align_regions: tuple[str, ...] | None = None,
     cache=None,
-    streaming: bool = False,
-    chunk_rows: int | None = None,
-    directions=None,
-    representatives=None,
     rep_budget: int | None = None,
     rep_seed: int = 0,
 ) -> FoldedReport:
@@ -188,6 +195,7 @@ def fold_trace(
     Equivalent to ``FoldPlan.from_trace(...).fold(...)`` — callers that
     fold the same trace at several parameter points should build the
     :class:`~repro.folding.plan.FoldPlan` themselves and reuse it.
+    Streamed folds live in :func:`repro.folding.stream.stream_fold_trace`.
 
     Parameters
     ----------
@@ -212,80 +220,33 @@ def fold_trace(
         exact parameters is returned from disk; otherwise the fresh
         report is stored before returning.  Only default *instances*
         and *registry* are cacheable (explicit ones bypass the cache).
-    streaming:
-        Fold chunk by chunk with O(chunk + summary) parent memory
-        instead of materializing the sample table
-        (:func:`repro.folding.stream.stream_fold_trace`).  By default
-        returns the counters-only
-        :class:`~repro.folding.stream.StreamedFold` — curves, totals
-        and degenerate flags bit-identical to the resident report's;
-        with *directions* the streamed address/line products ride
-        along in a
-        :class:`~repro.folding.stream_views.StreamedReport`.
-        Incompatible with explicit *instances* and with
-        *align_regions*.
-    chunk_rows:
-        Rows per streamed chunk (``streaming=True`` only).
-    directions:
-        Fold directions for the streamed report, e.g.
-        ``("counters", "address", "lines")`` (``streaming=True``
-        only); the resident fold always carries all three.
-    representatives:
-        Fold only representative instances and extrapolate.  Pass a
-        prebuilt :class:`~repro.folding.reps.Representatives` selection,
-        or ``True`` to select one here (*rep_budget* instances, seeded
-        by *rep_seed*).  Returns a counters-only
-        :class:`~repro.folding.extrapolate.ExtrapolatedFold` whose
-        curves are weight-extrapolated from the representatives — exact
+    rep_budget:
+        Fold only this many representative instances and extrapolate
+        (:func:`repro.folding.extrapolate.extrapolated_fold`).  Returns
+        a counters-only
+        :class:`~repro.folding.extrapolate.ExtrapolatedFold` — exact
         per-instance totals/degenerate flags, approximate curve shape,
         bit-identical to the exact fold when the budget covers every
-        instance.  Incompatible with *streaming*, *align_regions* and
-        explicit *registry*.
-    rep_budget:
-        Representative budget; implies ``representatives=True``.
+        instance.  Incompatible with *align_regions* and explicit
+        *registry*.
     rep_seed:
         Clustering seed for the representative selection (part of the
         cache key).
     """
     from repro.folding.plan import FoldPlan
 
-    if rep_budget is not None and representatives is None:
-        representatives = True
-    if representatives is not None and representatives is not False:
-        from repro.folding.extrapolate import extrapolated_fold
-        from repro.folding.reps import Representatives, select_representatives
+    if rep_budget is not None:
+        from repro.folding.extrapolate import ExtrapolatedFold, extrapolated_fold
+        from repro.folding.reps import select_representatives
 
-        if streaming:
-            raise ValueError(
-                "representative folds are already sub-linear in instances — "
-                "combine with streaming is not supported"
-            )
         if align_regions is not None or registry is not None:
             raise ValueError(
                 "representative folds use the linear per-instance projection "
                 "and carry no address view — align_regions/registry need the "
                 "resident fold"
             )
-        if isinstance(representatives, Representatives):
-            reps = representatives
-            cacheable = False  # the selection is not captured by the key
-        else:
-            if rep_budget is None:
-                raise ValueError(
-                    "representatives=True needs rep_budget (the number of "
-                    "instances to fold)"
-                )
-            reps = select_representatives(
-                trace,
-                instances=instances,
-                budget=rep_budget,
-                seed=rep_seed,
-                prune_tolerance=prune_tolerance,
-            )
-            cacheable = cache is not None and instances is None
+        cacheable = cache is not None and instances is None
         if cacheable:
-            from repro.folding.extrapolate import ExtrapolatedFold
-
             key = cache.key(
                 trace,
                 kind="extrapolated",
@@ -298,51 +259,19 @@ def fold_trace(
             hit = cache.get(key)
             if isinstance(hit, ExtrapolatedFold):
                 return hit
+        reps = select_representatives(
+            trace,
+            instances=instances,
+            budget=rep_budget,
+            seed=rep_seed,
+            prune_tolerance=prune_tolerance,
+        )
         ext = extrapolated_fold(
             trace, reps, grid_points=grid_points, bandwidth=bandwidth
         )
         if cacheable:
             cache.put(key, ext)
         return ext
-
-    if streaming:
-        from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
-
-        if instances is not None:
-            raise ValueError(
-                "streaming folds derive instances from the trace — explicit "
-                "instances need the resident fold"
-            )
-        if registry is not None and (
-            directions is None or "address" not in tuple(directions)
-        ):
-            raise ValueError(
-                "an explicit registry only matters to the streamed address "
-                "direction — pass directions including 'address', or use "
-                "the resident fold"
-            )
-        if align_regions is not None:
-            raise ValueError(
-                "streaming folds use the linear per-instance projection — "
-                "align_regions needs the resident fold"
-            )
-        return stream_fold_trace(
-            trace,
-            chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
-            grid_points=grid_points,
-            bandwidth=bandwidth,
-            prune_tolerance=prune_tolerance,
-            cache=cache,
-            directions=directions,
-            registry=registry,
-        )
-    if chunk_rows is not None:
-        raise ValueError("chunk_rows only applies to streaming folds")
-    if directions is not None:
-        raise ValueError(
-            "directions only applies to streaming folds — the resident "
-            "report always carries all three"
-        )
 
     cacheable = cache is not None and instances is None and registry is None
     if cacheable:

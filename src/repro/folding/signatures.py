@@ -6,9 +6,8 @@ access-vector idea (arXiv 2506.02344), each instance gets one feature
 vector summarizing its access pattern:
 
 * **counter deltas** — per-counter increment rate over the instance,
-  from the same boundary-interpolated readings the exact fold uses
-  (:func:`repro.folding.fold.boundary_values` /
-  :func:`~repro.folding.fold.boundary_increments`);
+  from the fold kernel's own boundary scan
+  (:func:`repro.folding.fold.build_prologue`);
 * **data-source mix** — the fraction of the instance's samples served
   by each memory-hierarchy level (:class:`repro.memsim.datasource.DataSource`);
 * **op-kind mix** — load/store sample fractions;
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances
-from repro.folding.fold import boundary_increments, boundary_values
+from repro.folding.fold import build_prologue
 from repro.memsim.datasource import DataSource
 from repro.memsim.patterns import MemOp
 from repro.simproc.machine import SAMPLE_COUNTERS
@@ -111,10 +110,10 @@ def instance_signatures(
 ) -> InstanceSignatures:
     """Compute the per-instance signature matrix of *instances*.
 
-    Counter deltas come from the identical boundary interpolation the
-    exact fold performs; categorical mixes are fractions of each
-    instance's own samples (an instance without samples gets an all-zero
-    mix, distinguishing it through the count/duration features instead).
+    Counter deltas come from the boundary scan the exact fold performs;
+    categorical mixes are fractions of each instance's own samples (an
+    instance without samples gets an all-zero mix, distinguishing it
+    through the count/duration features instead).
     On traces with more than *max_rows* in-instance samples the mixes
     and mean latency are estimated on a deterministic stride subsample
     (``max_rows=None`` disables the cap); duration, sample count and
@@ -130,31 +129,29 @@ def instance_signatures(
     names: list[str] = []
     columns: list[np.ndarray] = []
 
+    prologue = build_prologue([table], instances)
     for name in SAMPLE_COUNTERS:
-        series = table.column(name)
-        totals, _, _ = boundary_increments(
-            boundary_values(t, series, starts),
-            boundary_values(t, series, ends),
-        )
         names.append(f"{name}_per_ns")
-        columns.append(totals / durations)
+        columns.append(prologue.totals[name] / durations)
 
-    rows, idx = instance_sample_rows(t, starts, ends)
-    counts = np.bincount(idx, minlength=n_inst).astype(np.float64)
+    lo = np.searchsorted(t, starts, side="left")
+    counts = np.searchsorted(t, ends, side="left") - lo
+    total = int(counts.sum())
 
     names.append("duration_ns")
     columns.append(durations.astype(np.float64))
     names.append("n_samples")
-    columns.append(counts)
+    columns.append(counts.astype(np.float64))
 
-    if max_rows is not None and rows.size > max_rows:
-        stride = -(-rows.size // max_rows)
-        rows, idx = rows[::stride], idx[::stride]
-        denom = np.maximum(
-            np.bincount(idx, minlength=n_inst).astype(np.float64), 1.0
-        )
-    else:
-        denom = np.maximum(counts, 1.0)
+    # Every stride-th in-instance row (the rows instance_sample_rows
+    # lists), located from its position in that list alone, so a capped
+    # pass never builds the full O(n_samples) row list.
+    stride = 1 if max_rows is None or total <= max_rows else -(-total // max_rows)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.arange(0, total, stride)
+    idx = np.searchsorted(first, pos, side="right") - 1
+    rows = lo[idx] + (pos - first[idx])
+    denom = np.maximum(np.bincount(idx, minlength=n_inst).astype(np.float64), 1.0)
 
     latency = table.latency[rows].astype(np.float64)
     names.append("latency_mean")

@@ -1,88 +1,63 @@
-"""Streaming folds: bounded-memory chunkwise folding of huge traces.
+"""Streaming folds: the fold kernel over bounded-memory chunk streams.
 
 ``fold_trace`` holds the consolidated sample table (and the per-sample
-folded views derived from it) resident — O(trace) parent memory, which
-caps foldable workload sizes well below what the v2 container can
-*store*.  This module folds the **performance direction** of the report
-chunk by chunk instead, with O(chunk) parent memory, so trace size
-becomes disk-bound rather than RAM-bound.
+folded views derived from it) resident — O(trace) parent memory.  This
+module runs the same fold kernel (:mod:`repro.folding.fold`: boundary
+scan, projection, :class:`~repro.util.pava.DesignAccumulator`) over a
+stream of row chunks instead, with O(chunk) parent memory, so trace
+size becomes disk-bound rather than RAM-bound.  A resident fold is the
+one-chunk case, so the chunked result is the resident one bit for bit
+(the accumulator's ``np.add.at`` order argument and the scan's
+two-row interpolation window make chunking invisible).
 
-Why the result can be bit-identical to the resident fold
---------------------------------------------------------
-
-The batched counter fit factors through a
-:class:`~repro.util.pava.BinnedDesign` whose binned form is built from
-per-bin sums Σw and Σw·y — *additive* over samples.  Three details make
-the chunkwise accumulation reproduce the resident sums to the last bit:
-
-* **Bin edges** depend only on the σ span of the kept samples
-  (:func:`~repro.util.pava.design_bin_edges`), and whether the design
-  bins at all depends only on the kept-sample *count* — both are scalar
-  reductions a cheap prologue pass computes exactly (min/max/count are
-  order-independent).
-* **Σw·y order.**  Float addition is not associative, so summing
-  per-chunk ``bincount`` partials would drift.  Instead every chunk is
-  accumulated with ``np.add.at``, which adds element-by-element in
-  array order — concatenated over chunks this is the *same sequence of
-  additions per bin* as one ``bincount`` over the resident array, hence
-  the same bits.  Σw needs no such care: the fold's weights are all
-  ones, and integer-valued float sums are exact.
-* **Boundary interpolation.**  Per-instance counter totals come from
-  ``np.interp`` at instance boundaries.  ``np.interp`` at a point *b*
-  only reads the bracketing pair (the rightmost sample at or before
-  *b* and its successor), so the prologue resolves each boundary from
-  a two-chunk window — the previous chunk's last row plus the current
-  chunk — the first time the stream passes it, reproducing the
-  whole-trace interpolation exactly (and independently of the chunk
-  size).  The shared clamp
-  (:func:`~repro.folding.fold.boundary_increments`) then guarantees
-  identical ``totals``/``degenerate`` flags.
-
-The final :func:`~repro.util.pava.fit_design` runs on the accumulated
-design through the same :func:`~repro.folding.model.fit_counter_curves`
-path as the resident fold — digest-identical output, checked by the
-chunk-invariance property tests and the ``bench_streamfold`` tripwire.
-
-Two drivers sit on top of the :class:`StreamingFold` accumulator:
+Two drivers sit on top of the kernel:
 
 * :func:`stream_fold_trace` — the exact two-pass fold of a finished
-  trace (pass 1: instance boundaries from the event sidecar + scalar
-  prologue reductions; pass 2: accumulate), sharing
-  :class:`~repro.folding.cache.FoldCache` entries with resident folds
-  under unchanged keys;
+  trace (pass 1: instance boundaries from the event sidecar plus the
+  boundary scan; pass 2: project each chunk once and feed its σ to the
+  counter design and to the address/line sinks), sharing
+  :class:`~repro.folding.cache.FoldCache` entries with resident folds;
 * :class:`LiveFold` — a single-pass monitoring-style fold over a live
   sample stream whose instance boundaries arrive *with* the data, and
   which emits partial :class:`~repro.folding.model.FoldedCounters`
   snapshots on demand.  It cannot know the final σ span or kept count
-  up front, so it always bins on the fixed [0, 1] span — deterministic
+  up front, so it accumulates on the fixed [0, 1] span — deterministic
   and chunk-invariant, but a documented approximation of the resident
   fit (the bin width, 1/4096, is at most bandwidth/8 for every
   bandwidth the ablations use).
 
-The streamed product is no longer counters-only: with
-``directions=("counters", "address", "lines")`` the driver also feeds
-the bounded per-direction accumulators of
+With ``directions=("counters", "address", "lines")`` the drivers also
+feed the bounded per-direction accumulators of
 :mod:`repro.folding.stream_views` — an exact additive address
 accounting plus a deterministic reservoir and density sketch for the
 scatter, and fixed (line × σ-bin) count matrices for the source-line
-track — and returns a three-direction
+track — and return a three-direction
 :class:`~repro.folding.stream_views.StreamedReport` in
 O(chunk + summary) parent memory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.extrae.trace import Trace
 from repro.folding.detect import FoldInstances, instances_from_iterations
-from repro.folding.fold import _inside_mask, boundary_increments
-from repro.folding.model import FoldedCounters, fit_counter_curves
+from repro.folding.fold import (
+    FoldPrologue,
+    Projection,
+    build_prologue,
+    chunk_column,
+    project,
+)
+from repro.folding.model import (
+    FoldedCounters,
+    PerformanceFold,
+    fit_counter_curves,
+    fold_digest,
+)
 from repro.folding.stream_views import (
     LINE_SIGMA_BINS,
     RESERVOIR_CAPACITY,
@@ -92,23 +67,13 @@ from repro.folding.stream_views import (
 )
 from repro.objects.registry import DataObjectRegistry
 from repro.simproc.machine import SAMPLE_COUNTERS
-from repro.util.pava import (
-    BIN_THRESHOLD,
-    DESIGN_BINS,
-    BinnedDesign,
-    assign_design_bins,
-    binned_design_from_sums,
-    design_bin_edges,
-)
+from repro.util.pava import DesignAccumulator
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "LiveFold",
-    "StreamPrologue",
-    "StreamedFold",
     "StreamedReport",
     "StreamingFold",
-    "build_prologue",
     "fold_digest",
     "stream_fold_trace",
 ]
@@ -116,194 +81,24 @@ __all__ = [
 #: Default chunk size, re-exported from the container reader.
 from repro.extrae.storage import DEFAULT_CHUNK_ROWS  # noqa: E402
 
-
-def _chunk_columns(chunk, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Column arrays of a chunk (a mapping or a ``SampleTable``)."""
-    getter = chunk.column if hasattr(chunk, "column") else chunk.__getitem__
-    return {
-        name: np.asarray(getter(name), dtype=np.float64) for name in names
-    }
-
-
-# ---------------------------------------------------------------------------
-# Pass 1: the prologue — everything the accumulator must know up front.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamPrologue:
-    """What one cheap streaming pass learns about a trace.
-
-    Holds the per-instance boundary readings (and the
-    totals/degenerate/denominator vectors derived from them), the kept
-    sample count, and the σ span — the only whole-trace facts the
-    chunkwise design accumulation needs.  Everything here is O(number
-    of instances), never O(samples).
-    """
-
-    instances: FoldInstances
-    counters: tuple[str, ...]
-    #: rows streamed (kept or not)
-    n_rows: int
-    #: rows inside any instance — the design's sample count
-    n_kept: int
-    #: (σ min, σ max) over kept samples; ``None`` when nothing is kept
-    span: tuple[float, float] | None
-    #: whether the design pre-aggregates onto the fixed binning
-    binned: bool
-    c_start: dict[str, np.ndarray]
-    c_end: dict[str, np.ndarray]
-    totals: dict[str, np.ndarray]
-    degenerate: dict[str, np.ndarray]
-    denom: dict[str, np.ndarray]
-    #: (min, max) address over kept samples — only when the pass was
-    #: asked to track it (the streamed address direction's sketch span)
-    addr_range: tuple[int, int] | None = None
-
-
-def build_prologue(
-    chunks,
-    instances: FoldInstances,
-    counters: tuple[str, ...] = SAMPLE_COUNTERS,
-    *,
-    span_override: tuple[float, float] | None = None,
-    force_binned: bool = False,
-    track_address: bool = False,
-) -> StreamPrologue:
-    """Stream *chunks* once, resolving boundaries and scalar reductions.
-
-    *chunks* yields time-ordered column mappings carrying ``time_ns``
-    plus every counter in *counters*.  Each instance boundary is
-    interpolated from a window of the previous chunk's last row plus
-    the current chunk, the first time the stream strictly passes it —
-    bit-identical to ``np.interp`` over the whole series, whatever the
-    chunking (see the module docstring).
-
-    ``span_override``/``force_binned`` pin the design regime instead of
-    deriving it from the data — :class:`LiveFold` equivalence tests use
-    them; exact folds leave them alone.  With ``track_address`` the
-    chunks must also carry an ``address`` column, and the kept-sample
-    address min/max (the density-sketch span, another exact scalar
-    reduction) is recorded in :attr:`StreamPrologue.addr_range`.
-    """
-    starts = instances.starts_ns
-    ends = instances.ends_ns
-    n_inst = instances.n
-    bounds = np.concatenate([starts, ends])
-    bvals = {name: np.zeros(bounds.size, dtype=np.float64) for name in counters}
-    pending = np.ones(bounds.size, dtype=bool)
-    prev_t: np.ndarray | None = None
-    prev_v: dict[str, np.ndarray] = {}
-    n_rows = 0
-    n_kept = 0
-    smin, smax = math.inf, -math.inf
-    amin, amax = None, None
-
-    for chunk in chunks:
-        cols = _chunk_columns(chunk, ("time_ns", *counters))
-        t = cols["time_ns"]
-        if t.size == 0:
-            continue
-        if (np.diff(t) < 0.0).any() or (
-            prev_t is not None and t[0] < prev_t[0]
-        ):
-            raise ValueError("sample chunks must arrive in time order")
-        idx, inside = _inside_mask(t, starts, ends)
-        k = int(np.count_nonzero(inside))
-        if k:
-            ik = idx[inside]
-            sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
-            smin = min(smin, float(sigma.min()))
-            smax = max(smax, float(sigma.max()))
-            n_kept += k
-            if track_address:
-                getter = (
-                    chunk.column
-                    if hasattr(chunk, "column")
-                    else chunk.__getitem__
-                )
-                kept = np.asarray(getter("address"))[inside]
-                lo, hi = int(kept.min()), int(kept.max())
-                amin = lo if amin is None else min(amin, lo)
-                amax = hi if amax is None else max(amax, hi)
-        resolve = pending & (bounds < t[-1])
-        if resolve.any():
-            if prev_t is None:
-                tw = t
-                windows = {name: cols[name] for name in counters}
-            else:
-                tw = np.concatenate([prev_t, t])
-                windows = {
-                    name: np.concatenate([prev_v[name], cols[name]])
-                    for name in counters
-                }
-            at = bounds[resolve]
-            for name in counters:
-                bvals[name][resolve] = np.interp(at, tw, windows[name])
-            pending &= ~resolve
-        prev_t = t[-1:].copy()
-        prev_v = {name: cols[name][-1:].copy() for name in counters}
-        n_rows += int(t.size)
-
-    if pending.any() and prev_t is not None:
-        # Boundaries at or past the last sample read the last value,
-        # exactly as whole-series np.interp extrapolates on the right.
-        for name in counters:
-            bvals[name][pending] = prev_v[name][0]
-    # (With zero rows every boundary stays 0.0 — matching fold_samples.)
-
-    c_start: dict[str, np.ndarray] = {}
-    c_end: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    degenerate: dict[str, np.ndarray] = {}
-    denom: dict[str, np.ndarray] = {}
-    for name in counters:
-        c_start[name] = bvals[name][:n_inst].copy()
-        c_end[name] = bvals[name][n_inst:].copy()
-        totals[name], degenerate[name], denom[name] = boundary_increments(
-            c_start[name], c_end[name]
-        )
-
-    if span_override is not None:
-        span = (float(span_override[0]), float(span_override[1]))
-    else:
-        span = (smin, smax) if n_kept else None
-    return StreamPrologue(
-        instances=instances,
-        counters=tuple(counters),
-        n_rows=n_rows,
-        n_kept=n_kept,
-        span=span,
-        binned=force_binned or n_kept > BIN_THRESHOLD,
-        c_start=c_start,
-        c_end=c_end,
-        totals=totals,
-        degenerate=degenerate,
-        denom=denom,
-        addr_range=(amin, amax) if amin is not None else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pass 2: the accumulator.
-# ---------------------------------------------------------------------------
+#: Sample columns the streamed address direction reads.
+_ADDRESS_COLUMNS = ("address", "op", "source", "latency")
 
 
 class StreamingFold:
-    """Chunkwise design accumulator for the exact streaming fold.
+    """The fold kernel driven over a stream of time-ordered chunks.
 
-    Feed time-ordered sample chunks through :meth:`add_chunk`; the
-    design sums grow in place (O(bins) memory, plus O(kept) only in the
-    small-trace raw regime where the resident fit would not bin
-    either).  :meth:`result` fits the accumulated design — bit-identical
-    to the resident ``fold_trace`` counters when the prologue described
-    the same stream.  :meth:`snapshot` fits the partial design at any
+    Built from a :class:`~repro.folding.fold.FoldPrologue` of the same
+    stream: :meth:`add_chunk` projects one chunk and feeds the design
+    accumulator (O(bins) memory, plus O(kept) only in the small-sample
+    regime where the fit does not bin).  :meth:`result` fits the
+    accumulated design; :meth:`snapshot` fits the partial design at any
     point for progress-style reporting.
     """
 
     def __init__(
         self,
-        prologue: StreamPrologue,
+        prologue: FoldPrologue,
         grid_points: int = 201,
         bandwidth: float = 0.015,
     ) -> None:
@@ -312,91 +107,42 @@ class StreamingFold:
         self.prologue = prologue
         self.grid_points = grid_points
         self.bandwidth = bandwidth
-        k = len(prologue.counters)
-        if prologue.binned:
-            self._edges = design_bin_edges(*prologue.span)
-            self._acc_w = np.zeros(DESIGN_BINS, dtype=np.float64)
-            self._acc_wy = np.zeros((k, DESIGN_BINS), dtype=np.float64)
-            self._sigma_parts = self._frac_parts = None
-        else:
-            self._edges = self._acc_w = self._acc_wy = None
-            self._sigma_parts: list[np.ndarray] = []
-            self._frac_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
+        self._acc = DesignAccumulator(
+            len(prologue.counters), prologue.span, binned=prologue.binned
+        )
         self._last_t: float | None = None
-        self.n_folded = 0
         self.n_chunks = 0
 
-    def add_chunk(self, chunk) -> int:
-        """Fold one time-ordered chunk in; returns its kept-row count."""
-        p = self.prologue
-        cols = _chunk_columns(chunk, ("time_ns", *p.counters))
-        t = cols["time_ns"]
+    @property
+    def n_folded(self) -> int:
+        return self._acc.n
+
+    def add_chunk(self, chunk) -> Projection:
+        """Fold one time-ordered chunk in; returns its projection."""
         self.n_chunks += 1
-        if t.size == 0:
-            return 0
-        if self._last_t is not None and t[0] < self._last_t:
-            raise ValueError("sample chunks must arrive in time order")
-        self._last_t = float(t[-1])
-        starts, ends = p.instances.starts_ns, p.instances.ends_ns
-        idx, inside = _inside_mask(t, starts, ends)
-        k = int(np.count_nonzero(inside))
-        if k == 0:
-            return 0
-        ik = idx[inside]
-        sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
-        which = (
-            assign_design_bins(sigma, self._edges) if p.binned else None
-        )
-        for row, name in enumerate(p.counters):
-            value = cols[name][inside]
-            frac = np.clip(
-                (value - p.c_start[name][ik]) / p.denom[name][ik], 0.0, 1.0
-            )
-            if p.binned:
-                # np.add.at adds in element order, so chunk after chunk
-                # this replays the exact addition sequence one bincount
-                # over the resident array would perform per bin.
-                np.add.at(self._acc_wy[row], which, frac)
-            else:
-                self._frac_parts[row].append(frac)
-        if p.binned:
-            self._acc_w += np.bincount(which, minlength=DESIGN_BINS)
-        else:
-            self._sigma_parts.append(sigma)
-        self.n_folded += k
-        return k
+        t = chunk_column(chunk, "time_ns")
+        if t.size:
+            if self._last_t is not None and t[0] < self._last_t:
+                raise ValueError("sample chunks must arrive in time order")
+            self._last_t = float(t[-1])
+        proj = project(chunk, self.prologue.instances, self.prologue)
+        self._acc.add(proj.sigma, proj.fractions)
+        return proj
 
     # -- outputs -----------------------------------------------------------
-    def design(self) -> BinnedDesign:
-        """The design accumulated so far."""
-        if self.n_folded == 0:
-            raise ValueError("cannot fold counters without samples")
-        if self.prologue.binned:
-            return binned_design_from_sums(
-                self._edges, self._acc_w, self._acc_wy
-            )
-        x = np.concatenate(self._sigma_parts)
-        Y = np.stack([np.concatenate(parts) for parts in self._frac_parts])
-        return BinnedDesign(x=x, w=np.ones_like(x), Y=Y)
-
-    def _fit(self) -> FoldedCounters:
+    def snapshot(self) -> FoldedCounters:
+        """Partial curves over the chunks folded so far."""
         p = self.prologue
         return fit_counter_curves(
-            self.design(),
+            self._acc.design(),
             grid_points=self.grid_points,
             bandwidth=self.bandwidth,
             counters=p.counters,
-            totals_mean={
-                name: float(p.totals[name].mean()) for name in p.counters
-            },
+            totals_mean={name: float(p.totals[name].mean()) for name in p.counters},
             duration_ns=p.instances.mean_duration_ns,
         )
 
-    def snapshot(self) -> FoldedCounters:
-        """Partial curves over the chunks folded so far."""
-        return self._fit()
-
-    def result(self, chunk_rows: int = 0) -> "StreamedFold":
+    def result(self, chunk_rows: int = 0) -> PerformanceFold:
         """Finalize after the full stream has been folded in."""
         p = self.prologue
         if self.n_folded != p.n_kept:
@@ -404,100 +150,15 @@ class StreamingFold:
                 f"stream folded {self.n_folded} kept samples, prologue saw "
                 f"{p.n_kept} — passes must consume the same chunks"
             )
-        return StreamedFold(
+        return PerformanceFold(
             instances=p.instances,
-            counters=self._fit(),
+            counters=self.snapshot(),
             totals=dict(p.totals),
             degenerate=dict(p.degenerate),
             n_folded=self.n_folded,
             n_chunks=self.n_chunks,
             chunk_rows=int(chunk_rows),
         )
-
-
-# ---------------------------------------------------------------------------
-# The streamed product.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StreamedFold:
-    """The counters-only fold a streaming pass produces.
-
-    Carries exactly what the resident
-    :class:`~repro.folding.report.FoldedReport` knows about the
-    performance direction — fitted curves, per-instance totals and
-    degenerate flags, instance set — without the O(trace) sample views.
-    :func:`fold_digest` compares the two shapes directly.
-    """
-
-    instances: FoldInstances
-    counters: FoldedCounters
-    totals: dict[str, np.ndarray]
-    degenerate: dict[str, np.ndarray]
-    #: samples that fell inside an instance and entered the design
-    n_folded: int
-    #: chunks consumed by the accumulation pass (0 for cache adaptions)
-    n_chunks: int = 0
-    #: row-chunk size of the accumulation pass (0 when not applicable)
-    chunk_rows: int = 0
-
-    def digest(self) -> str:
-        return fold_digest(self)
-
-    def summary(self) -> str:
-        parts = [
-            f"Streamed fold over {self.instances.n} instances "
-            f"of {self.instances.name!r}",
-            f"  mean instance duration: "
-            f"{self.instances.mean_duration_ns / 1e6:.3f} ms",
-            f"  samples folded: {self.n_folded}",
-        ]
-        if self.n_chunks:
-            parts.append(
-                f"  streamed in {self.n_chunks} chunks of "
-                f"{self.chunk_rows} rows"
-            )
-        return "\n".join(parts)
-
-    def export_gnuplot(self, directory: str | Path) -> list[Path]:
-        """Write the performance panel (``counters.dat``) only."""
-        from repro.folding.report import export_counters_dat
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return [export_counters_dat(self.counters, directory)]
-
-
-def fold_digest(fold) -> str:
-    """Content digest of a fold's performance direction (hex SHA-256).
-
-    Accepts a :class:`StreamedFold` or a resident
-    :class:`~repro.folding.report.FoldedReport`: hashes the fitted
-    curves, the kept-sample count, the instance intervals, and the
-    per-instance totals/degenerate flags.  A streamed fold is correct
-    iff this matches the resident fold of the same trace bit for bit.
-    """
-    samples = getattr(fold, "samples", None)
-    if samples is not None:  # a FoldedReport
-        totals, degenerate, n = samples.totals, samples.degenerate, samples.n
-    else:
-        totals, degenerate, n = fold.totals, fold.degenerate, fold.n_folded
-    h = hashlib.sha256()
-    h.update(fold.counters.digest().encode())
-    h.update(np.int64(n).tobytes())
-    h.update(
-        np.asarray(fold.instances.intervals, dtype=np.float64).tobytes()
-    )
-    for name in sorted(totals):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(totals[name], dtype=np.float64).tobytes())
-        h.update(
-            np.asarray(degenerate[name], dtype=bool)
-            .astype(np.uint8)
-            .tobytes()
-        )
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +171,8 @@ _KNOWN_DIRECTIONS = ("counters", "address", "lines")
 def _normalize_directions(directions) -> tuple[str, ...] | None:
     """Canonical direction tuple, or ``None`` for counters-only.
 
-    ``None`` and ``("counters",)`` both mean the PR-6 counters-only
-    fold (a :class:`StreamedFold`); anything more returns the canonical
+    ``None`` and ``("counters",)`` both mean the counters-only fold (a
+    :class:`~repro.folding.model.PerformanceFold`); anything more returns the canonical
     subset of ``("counters", "address", "lines")`` — counters are
     always folded, so a :class:`StreamedReport` always has its
     performance direction.
@@ -550,14 +211,14 @@ def stream_fold_trace(
     reservoir_seed: int = 0,
     reservoir_weighting: str = "uniform",
     line_sigma_bins: int = LINE_SIGMA_BINS,
-) -> StreamedFold | StreamedReport:
+) -> PerformanceFold | StreamedReport:
     """Fold a trace chunk by chunk — exact, two passes, O(chunk) memory.
 
     Pass 1 builds the instance set from the event sidecar (events are
-    O(markers), never O(samples)) and streams ``time_ns`` plus the
-    counter columns once to resolve instance-boundary readings, the
-    kept-sample count and the σ span.  Pass 2 streams the same columns
-    again and accumulates the design.  The result's curves, totals and
+    O(markers), never O(samples)) and runs the boundary scan over
+    ``time_ns`` plus the counter columns.  Pass 2 streams the columns
+    again, projects each chunk once and feeds its σ to the counter
+    design and the address/line sinks.  The result's curves, totals and
     degenerate flags are bit-identical to the resident
     :func:`~repro.folding.report.fold_trace` at the same parameters.
 
@@ -571,11 +232,12 @@ def stream_fold_trace(
         Rows per streamed chunk.
     cache:
         Optional :class:`~repro.folding.cache.FoldCache`.  For the
-        counters-only fold, keys are identical to the resident fold's,
-        so a trace folded resident serves streamed requests and vice
-        versa (a resident hit is adapted down to its counters-only
-        form; a streamed entry is treated as a miss by the resident
-        path, which overwrites it with the full report).  Multi-
+        counters-only fold of every counter, keys are identical to the
+        resident fold's, so a trace folded resident serves streamed
+        requests (through the report's ``performance`` view); a
+        streamed entry is treated as a miss by the resident path, which
+        overwrites it with the full report.  A counter subset is part
+        of the key.  Multi-
         direction streamed reports are keyed under ``kind="streamed"``
         — their address/line products are bounded summaries, not the
         resident views, so they must never alias a resident report.
@@ -587,7 +249,7 @@ def stream_fold_trace(
     directions:
         Which fold directions to stream.  ``None`` (or
         ``("counters",)``) keeps the counters-only
-        :class:`StreamedFold`; any superset — up to
+        :class:`~repro.folding.model.PerformanceFold`; any superset — up to
         ``("counters", "address", "lines")`` — returns a
         :class:`~repro.folding.stream_views.StreamedReport` whose
         extra directions were accumulated in the same pass 2, still in
@@ -606,6 +268,10 @@ def stream_fold_trace(
     dirs = _normalize_directions(directions)
     want_address = dirs is not None and "address" in dirs
     want_lines = dirs is not None and "lines" in dirs
+    # The resident fold always folds every counter, so only a subset is
+    # spelled out: default-subset keys stay shared with resident folds.
+    counters = tuple(counters)
+    subset = {} if counters == SAMPLE_COUNTERS else {"counters": counters}
     key = None
     if cache is not None:
         if dirs is None:
@@ -615,11 +281,11 @@ def stream_fold_trace(
                 bandwidth=bandwidth,
                 prune_tolerance=prune_tolerance,
                 align_regions=None,
+                **subset,
             )
             hit = cache.get(key)
-            adapted = _adapt_cache_hit(hit)
-            if adapted is not None:
-                return adapted
+            if hit is not None:
+                return hit.performance
         elif registry is not None:
             # An explicit registry is not captured by the key (exactly
             # as the resident fold treats explicit registries): bypass.
@@ -638,6 +304,7 @@ def stream_fold_trace(
                 reservoir_seed=reservoir_seed,
                 reservoir_weighting=reservoir_weighting,
                 line_sigma_bins=line_sigma_bins,
+                **subset,
             )
             hit = cache.get(key)
             if isinstance(hit, StreamedReport):
@@ -667,34 +334,12 @@ def stream_fold_trace(
             seed=reservoir_seed,
             weighting=reservoir_weighting,
         )
-        extras += ("address", "op", "source", "latency")
+        extras += _ADDRESS_COLUMNS
     if want_lines:
         line_stream = LineStream(trace.callstack, sigma_bins=line_sigma_bins)
         extras += ("callstack_id",)
-    starts, ends = instances.starts_ns, instances.ends_ns
     for chunk in trace.iter_sample_chunks(names + extras, chunk_rows):
-        acc.add_chunk(chunk)
-        if extras:
-            getter = (
-                chunk.column if hasattr(chunk, "column") else chunk.__getitem__
-            )
-            t = np.asarray(getter("time_ns"), dtype=np.float64)
-            idx, inside = _inside_mask(t, starts, ends)
-            if inside.any():
-                ik = idx[inside]
-                sigma = (t[inside] - starts[ik]) / (ends[ik] - starts[ik])
-                if addr_stream is not None:
-                    addr_stream.add(
-                        sigma,
-                        np.asarray(getter("address"))[inside],
-                        np.asarray(getter("op"))[inside],
-                        np.asarray(getter("source"))[inside],
-                        np.asarray(getter("latency"))[inside],
-                    )
-                if line_stream is not None:
-                    line_stream.add(
-                        sigma, np.asarray(getter("callstack_id"))[inside]
-                    )
+        _feed_sinks(chunk, acc.add_chunk(chunk), addr_stream, line_stream)
         if (
             report_every
             and on_snapshot is not None
@@ -715,29 +360,18 @@ def stream_fold_trace(
     return result
 
 
-def _adapt_cache_hit(hit) -> StreamedFold | None:
-    """A cache entry as a :class:`StreamedFold`, if it can serve one.
-
-    Streamed entries pass through; a resident
-    :class:`~repro.folding.report.FoldedReport` stored under the same
-    key is adapted down to its counters-only form.  Anything else is a
-    miss.
-    """
-    if hit is None:
-        return None
-    if isinstance(hit, StreamedFold):
-        return hit
-    from repro.folding.report import FoldedReport
-
-    if isinstance(hit, FoldedReport):
-        return StreamedFold(
-            instances=hit.instances,
-            counters=hit.counters,
-            totals=dict(hit.samples.totals),
-            degenerate=dict(hit.samples.degenerate),
-            n_folded=hit.samples.n,
+def _feed_sinks(chunk, proj: Projection, addr_stream, line_stream) -> None:
+    """Pass one chunk's kept rows, at their projected σ, to the
+    address and line accumulators that are live."""
+    if addr_stream is not None:
+        addr_stream.add(
+            proj.sigma,
+            *(np.asarray(chunk_column(chunk, c))[proj.inside] for c in _ADDRESS_COLUMNS),
         )
-    return None
+    if line_stream is not None:
+        line_stream.add(
+            proj.sigma, np.asarray(chunk_column(chunk, "callstack_id"))[proj.inside]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -753,14 +387,16 @@ class LiveFold:
     feed sample chunks through :meth:`observe` and iteration markers
     through :meth:`mark_iteration` as they happen; call
     :meth:`snapshot` any time for the partial curves and
-    :meth:`finish` once for the final :class:`StreamedFold`.
+    :meth:`finish` once for the final
+    :class:`~repro.folding.model.PerformanceFold`.
 
-    Because the final σ span and kept count are unknowable mid-stream,
-    the design always bins on the fixed [0, 1] span — deterministic and
-    chunk-invariant, but not bit-identical to the resident fit (bin
-    width 1/4096 ≤ bandwidth/8 for every ablation bandwidth; the
-    equivalence tests pin it against :class:`StreamingFold` with the
-    same span override).  Instances are not outlier-pruned: a monitor
+    Each instance is folded by the kernel as one chunk once the stream
+    has passed its end.  Because the final σ span and kept count are
+    unknowable mid-stream, the design accumulates on the fixed [0, 1]
+    span — deterministic and chunk-invariant, but not bit-identical to
+    the resident fit (bin width 1/4096 ≤ bandwidth/8 for every ablation
+    bandwidth; the equivalence tests pin it against the fixed-span
+    accumulator fed the whole trace).  Instances are not outlier-pruned: a monitor
     wants to *see* the perturbed instance, not drop it.
 
     Memory: the design sums plus a raw-row buffer covering the open
@@ -812,19 +448,15 @@ class LiveFold:
                 seed=reservoir_seed,
                 weighting=reservoir_weighting,
             )
-            extras += ("address", "op", "source", "latency")
+            extras += _ADDRESS_COLUMNS
         if "lines" in self._directions:
             self._line = LineStream(
                 callstack_resolver, sigma_bins=line_sigma_bins
             )
             extras += ("callstack_id",)
         self._extras = extras
-        self._edges = design_bin_edges(0.0, 1.0)
-        k = len(self._counters)
-        self._acc_w = np.zeros(DESIGN_BINS, dtype=np.float64)
-        self._acc_wy = np.zeros((k, DESIGN_BINS), dtype=np.float64)
+        self._acc = DesignAccumulator(len(self._counters))
         self._marks: list[float] = []
-        self._bvals: dict[float, dict[str, float]] = {}
         self._intervals: list[tuple[float, float]] = []
         self._totals: dict[str, list[float]] = {n: [] for n in self._counters}
         self._degen: dict[str, list[bool]] = {n: [] for n in self._counters}
@@ -835,8 +467,11 @@ class LiveFold:
         self._last_t: float | None = None
         self._finished = False
         self.n_rows = 0
-        self.n_folded = 0
         self.n_chunks = 0
+
+    @property
+    def n_folded(self) -> int:
+        return self._acc.n
 
     @property
     def required_columns(self) -> tuple[str, ...]:
@@ -855,7 +490,11 @@ class LiveFold:
         """Feed one time-ordered sample chunk."""
         if self._finished:
             raise ValueError("LiveFold is finished")
-        cols = _chunk_columns(chunk, self.required_columns)
+        # Copy: a live source may reuse or grow its buffers under us.
+        cols = {
+            name: np.array(chunk_column(chunk, name), dtype=np.float64)
+            for name in self.required_columns
+        }
         t = cols["time_ns"]
         self.n_chunks += 1
         if t.size == 0:
@@ -864,8 +503,7 @@ class LiveFold:
             self._last_t is not None and t[0] < self._last_t
         ):
             raise ValueError("sample chunks must arrive in time order")
-        # Copy: a live source may reuse or grow its buffers under us.
-        self._buf.append({name: arr.copy() for name, arr in cols.items()})
+        self._buf.append(cols)
         self._last_t = float(t[-1])
         self.n_rows += int(t.size)
         self._drain()
@@ -894,7 +532,7 @@ class LiveFold:
             self._intervals.append((self._marks[-2], self._marks[-1]))
         self._drain()
 
-    def finish(self, end_time_ns: float | None = None) -> StreamedFold:
+    def finish(self, end_time_ns: float | None = None) -> PerformanceFold:
         """Close the open instance and return the final fold.
 
         The last instance ends at *end_time_ns* (default: the last
@@ -914,7 +552,7 @@ class LiveFold:
         self._drain()
         instances = FoldInstances(self._name, tuple(self._intervals))
         counters = self._fit(instances.mean_duration_ns)
-        return StreamedFold(
+        return PerformanceFold(
             instances=instances,
             counters=counters,
             totals={
@@ -953,7 +591,7 @@ class LiveFold:
         if counters is None:
             return None
         closed = tuple(self._intervals[: self._flushed])
-        performance = StreamedFold(
+        performance = PerformanceFold(
             instances=FoldInstances(self._name, closed),
             counters=counters,
             totals={
@@ -975,15 +613,12 @@ class LiveFold:
         )
 
     def _fit(self, duration_ns: float) -> FoldedCounters:
-        if self.n_folded == 0:
-            raise ValueError("cannot fold counters without samples")
-        design = binned_design_from_sums(self._edges, self._acc_w, self._acc_wy)
         totals_mean = {
             name: float(np.asarray(vals, dtype=np.float64).mean())
             for name, vals in self._totals.items()
         }
         return fit_counter_curves(
-            design,
+            self._acc.design(),
             grid_points=self.grid_points,
             bandwidth=self.bandwidth,
             counters=self._counters,
@@ -994,34 +629,10 @@ class LiveFold:
     # -- internals ---------------------------------------------------------
     def _window(self) -> dict[str, np.ndarray]:
         parts = ([self._prev] if self._prev is not None else []) + self._buf
-        if not parts:
-            return {}
         return {
-            name: np.concatenate([p[name] for p in parts])
+            name: np.concatenate([p[name] for p in parts]) if parts else np.empty(0)
             for name in self.required_columns
         }
-
-    def _boundary(self, at: float) -> dict[str, float]:
-        """Counter readings at boundary time *at*, from the window.
-
-        ``np.interp`` at a point only reads the rightmost row at or
-        before it and its successor; the trim policy retains both (or
-        carries the left one in ``_prev``), so this equals the
-        interpolation over the whole series — see the module docstring.
-        """
-        vals = self._bvals.get(at)
-        if vals is None:
-            window = self._window()
-            if not window or window["time_ns"].size == 0:
-                vals = {name: 0.0 for name in self._counters}
-            else:
-                tw = window["time_ns"]
-                vals = {
-                    name: float(np.interp(at, tw, window[name]))
-                    for name in self._counters
-                }
-            self._bvals[at] = vals
-        return vals
 
     def _drain(self) -> None:
         while self._flushed < len(self._intervals):
@@ -1035,37 +646,22 @@ class LiveFold:
         self._trim()
 
     def _flush(self, i: int) -> None:
-        t0, t1 = self._intervals[i]
-        b0 = self._boundary(t0)
-        b1 = self._boundary(t1)
+        """Fold closed instance *i* from the window as one chunk.
+
+        The window holds every row of the instance plus, as its left
+        edge, the last row before it (the trim policy keeps both), so
+        the boundary scan's interpolation equals the one over the whole
+        series.
+        """
         window = self._window()
-        t = window.get("time_ns", np.empty(0))
-        keep = (t >= t0) & (t < t1)
-        tk = t[keep]
-        sigma = (tk - t0) / (t1 - t0)
-        which = assign_design_bins(sigma, self._edges)
-        for row, name in enumerate(self._counters):
-            totals, degen, denom = boundary_increments(
-                np.asarray([b0[name]]), np.asarray([b1[name]])
-            )
-            frac = np.clip(
-                (window[name][keep] - b0[name]) / denom[0], 0.0, 1.0
-            )
-            np.add.at(self._acc_wy[row], which, frac)
-            self._totals[name].append(float(totals[0]))
-            self._degen[name].append(bool(degen[0]))
-        self._acc_w += np.bincount(which, minlength=DESIGN_BINS)
-        if self._addr is not None:
-            self._addr.add(
-                sigma,
-                window["address"][keep],
-                window["op"][keep],
-                window["source"][keep],
-                window["latency"][keep],
-            )
-        if self._line is not None:
-            self._line.add(sigma, window["callstack_id"][keep])
-        self.n_folded += int(tk.size)
+        instance = FoldInstances(self._name, (self._intervals[i],))
+        prologue = build_prologue([window], instance, self._counters)
+        proj = project(window, instance, prologue)
+        self._acc.add(proj.sigma, proj.fractions)
+        for name in self._counters:
+            self._totals[name].append(float(prologue.totals[name][0]))
+            self._degen[name].append(bool(prologue.degenerate[name][0]))
+        _feed_sinks(window, proj, self._addr, self._line)
 
     def _trim(self) -> None:
         """Drop buffered chunks no longer reachable by a future flush.

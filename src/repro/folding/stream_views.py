@@ -767,8 +767,8 @@ def lines_from_folded(
 class StreamedReport:
     """All streamed fold directions of one trace.
 
-    ``performance`` is the PR-6 :class:`~repro.folding.stream
-    .StreamedFold` (bit-identical counter curves); ``addresses`` and
+    ``performance`` is the :class:`~repro.folding.model.PerformanceFold`
+    (bit-identical counter curves); ``addresses`` and
     ``lines`` are the bounded summaries of the other two panels, or
     ``None`` when their direction was not requested.
     """
@@ -796,7 +796,7 @@ class StreamedReport:
 
     def digest(self) -> str:
         """Hex SHA-256 over every streamed direction."""
-        from repro.folding.stream import fold_digest
+        from repro.folding.model import fold_digest
 
         h = hashlib.sha256()
         h.update(fold_digest(self.performance).encode())

@@ -182,10 +182,10 @@ def streamfold_trace(
     :class:`~repro.extrae.trace.Trace` or a path to a saved container —
     pass the *path* of a big trace so only O(chunk) column slices are
     ever resident.  By default returns a counters-only
-    :class:`~repro.folding.stream.StreamedFold` whose curves, totals
+    :class:`~repro.folding.model.PerformanceFold` whose curves, totals
     and degenerate flags are bit-identical to the resident
     :func:`~repro.folding.report.fold_trace` at the same parameters
-    (cache entries shared with resident folds under unchanged keys);
+    (cache entries shared with resident folds);
     with ``directions=("counters", "address", "lines")`` returns the
     three-direction
     :class:`~repro.folding.stream_views.StreamedReport` — exact

@@ -70,26 +70,20 @@ def seal(payload: dict) -> dict:
 def counters_payload(fold) -> dict:
     """The performance direction of a fold, as JSON-able curves.
 
-    Accepts anything carrying ``counters``/``instances`` plus
-    per-instance totals — the resident
-    :class:`~repro.folding.report.FoldedReport`, the
-    :class:`~repro.folding.stream.StreamedFold` and the
-    :class:`~repro.folding.extrapolate.ExtrapolatedFold` all do (their
-    curves are bit-identical across paths by construction, so the
-    payload digest is a property of the *content*, not of which fold
-    path produced it).
+    Accepts anything with a ``performance`` view — a resident
+    :class:`~repro.folding.report.FoldedReport`, a
+    :class:`~repro.folding.model.PerformanceFold` or its
+    :class:`~repro.folding.extrapolate.ExtrapolatedFold` extension
+    (curves are bit-identical across fold paths, so the payload digest
+    is a property of the *content*, not of which path produced it).
     """
-    counters = fold.counters
-    samples = getattr(fold, "samples", None)
-    if samples is not None:  # a resident FoldedReport
-        n_folded = int(samples.n)
-    else:
-        n_folded = int(fold.n_folded)
+    perf = fold.performance
+    counters = perf.counters
     payload = {
         "version": PAYLOAD_VERSION,
         "direction": "counters",
-        "n_instances": int(fold.instances.n),
-        "n_folded": n_folded,
+        "n_instances": int(perf.instances.n),
+        "n_folded": int(perf.n_folded),
         "sigma": _floats(counters.sigma),
         "mips": _floats(counters.mips()),
         "ipc": _floats(counters.ipc()),

@@ -19,7 +19,9 @@ Two PAVA implementations live here:
 The batched Folding fit (:class:`BinnedDesign`, :func:`fit_design`)
 factors the Gaussian-kernel regression so the (grid × samples) weight
 matrix is built once and applied to *all* counters as a single matmul,
-instead of one full kernel pass per counter.
+instead of one full kernel pass per counter.  Every fold builds its
+design through one :class:`DesignAccumulator`, whether it sees the
+samples whole or chunk by chunk.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import numpy as np
 
 __all__ = [
     "BinnedDesign",
-    "assign_design_bins",
-    "binned_design_from_sums",
-    "design_bin_edges",
+    "DesignAccumulator",
     "fit_design",
     "isotonic_fit",
     "make_design",
@@ -215,86 +215,129 @@ class BinnedDesign:
         return int(self.x.size)
 
 
+class DesignAccumulator:
+    """The additive half of a :class:`BinnedDesign`, fed chunk by chunk.
+
+    Binned (the default): per-bin Σw and per-target Σw·y over
+    ``DESIGN_BINS`` fixed bins spanning *span*.  The edges depend only
+    on the span, so a fold that learns the span up front (or fixes it,
+    as a live fold does at [0, 1]) bins every chunk alike.  Raw
+    (``binned=False``, the small-sample regime where the fit uses every
+    point): the points themselves.
+
+    Every Σw·y is accumulated with ``np.add.at``, not per-chunk
+    ``bincount`` partials: float addition is not associative, and
+    ``np.add.at`` adds element by element in array order, so a sample
+    set fed in any number of time-ordered chunks performs the same
+    per-bin additions as the set fed whole — chunking never changes a
+    bit.  Unit weights are counted with ``bincount``: integer-valued
+    float sums are exact in any order.
+    """
+
+    def __init__(
+        self,
+        n_targets: int,
+        span: tuple[float, float] = (0.0, 1.0),
+        binned: bool = True,
+    ) -> None:
+        self.n_targets = n_targets
+        self.binned = binned
+        #: points fed so far
+        self.n = 0
+        if binned:
+            lo, hi = span
+            self._edges = np.linspace(lo, lo + max(hi - lo, 1e-12), DESIGN_BINS + 1)
+            self._w = np.zeros(DESIGN_BINS, dtype=np.float64)
+            self._wy = np.zeros((n_targets, DESIGN_BINS), dtype=np.float64)
+        else:
+            self._parts: list[tuple] = []
+
+    def add(self, x: np.ndarray, Y, weights: np.ndarray | None = None) -> None:
+        """Feed points *x* with one value row per target in *Y*."""
+        if x.size == 0:
+            return
+        self.n += int(x.size)
+        if not self.binned:
+            self._parts.append((x, weights, list(Y)))
+            return
+        which = np.clip(
+            np.searchsorted(self._edges, x, side="right") - 1, 0, DESIGN_BINS - 1
+        )
+        for acc, y in zip(self._wy, Y):
+            np.add.at(acc, which, y if weights is None else weights * y)
+        if weights is None:
+            self._w += np.bincount(which, minlength=DESIGN_BINS)
+        else:
+            np.add.at(self._w, which, weights)
+
+    def design(self) -> BinnedDesign:
+        """The design of every point fed so far."""
+        if self.n == 0:
+            raise ValueError("cannot fold counters without samples")
+        if self.binned:
+            occupied = self._w > 0
+            centers = 0.5 * (self._edges[:-1] + self._edges[1:])
+            return BinnedDesign(
+                x=centers[occupied],
+                w=self._w[occupied],
+                Y=self._wy[:, occupied] / self._w[occupied],
+            )
+        x = np.concatenate([p[0] for p in self._parts])
+        w = np.concatenate(
+            [np.ones_like(p[0]) if p[1] is None else p[1] for p in self._parts]
+        )
+        Y = np.stack(
+            [
+                np.concatenate([p[2][i] for p in self._parts])
+                for i in range(self.n_targets)
+            ]
+        )
+        return BinnedDesign(x=x, w=w, Y=Y)
+
+
 def make_design(
     x: np.ndarray,
-    Y: np.ndarray,
+    Y,
     weights: np.ndarray | None = None,
 ) -> BinnedDesign:
     """Build the shared kernel-regression design for *k* targets.
+
+    A :class:`DesignAccumulator` fed the whole sample set as one chunk:
+    binned over the samples' own span above ``BIN_THRESHOLD`` points,
+    raw below.
 
     Parameters
     ----------
     x:
         Sample coordinates, ``(n,)``.
     Y:
-        Target values, ``(k, n)`` — e.g. one row per counter's
-        cumulative fractions.
+        Target values, ``(k, n)`` or a sequence of *k* length-``n``
+        rows — e.g. one row per counter's cumulative fractions.
     weights:
         Optional positive per-sample weights shared by all targets.
     """
     x = np.asarray(x, dtype=np.float64)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    if x.ndim != 1 or Y.shape[1] != x.size:
+    rows = [np.asarray(y, dtype=np.float64) for y in Y]
+    if x.ndim != 1 or not rows or any(y.shape != x.shape for y in rows):
         raise ValueError(
-            f"x must be 1-D and Y (k, {x.size}); got {x.shape} and {Y.shape}"
+            f"x must be 1-D and Y (k, {x.size}); got {x.shape} and "
+            f"{[y.shape for y in rows]}"
         )
     if x.size == 0:
         raise ValueError("make_design needs at least one sample")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != x.shape:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != x.shape:
             raise ValueError("weights must match x in shape")
-        if (w <= 0).any():
+        if (weights <= 0).any():
             raise ValueError("weights must be strictly positive")
-
-    if x.size <= BIN_THRESHOLD:
-        return BinnedDesign(x=x, w=w, Y=Y)
-
-    edges = design_bin_edges(float(x.min()), float(x.max()))
-    which = assign_design_bins(x, edges)
-    wsum = np.bincount(which, weights=w, minlength=DESIGN_BINS)
-    wysum = np.empty((Y.shape[0], DESIGN_BINS), dtype=np.float64)
-    for i in range(Y.shape[0]):
-        wysum[i] = np.bincount(which, weights=w * Y[i], minlength=DESIGN_BINS)
-    return binned_design_from_sums(edges, wsum, wysum)
-
-
-def design_bin_edges(span_lo: float, span_hi: float) -> np.ndarray:
-    """The fixed design binning over a sample span.
-
-    The edges depend only on the span of the sample positions, so a
-    streaming fold that learns the span in a prologue pass bins every
-    chunk exactly as :func:`make_design` bins the resident array.
-    """
-    span = max(span_hi - span_lo, 1e-12)
-    return np.linspace(span_lo, span_lo + span, DESIGN_BINS + 1)
-
-
-def assign_design_bins(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin index of every position in *x* (clipped into range)."""
-    return np.clip(
-        np.searchsorted(edges, x, side="right") - 1, 0, DESIGN_BINS - 1
+    acc = DesignAccumulator(
+        len(rows),
+        span=(float(x.min()), float(x.max())),
+        binned=x.size > BIN_THRESHOLD,
     )
-
-
-def binned_design_from_sums(
-    edges: np.ndarray, wsum: np.ndarray, wysum: np.ndarray
-) -> BinnedDesign:
-    """Assemble a :class:`BinnedDesign` from full per-bin sums.
-
-    ``wsum``/``wysum`` are length-``DESIGN_BINS`` Σw and per-target
-    Σw·y vectors — the *additive* half of the binned design.  Both
-    :func:`make_design` (sums from one ``bincount`` over the resident
-    array) and :class:`repro.folding.stream.StreamingFold` (sums
-    accumulated chunk by chunk) funnel through here, so the two paths
-    produce the same design by construction once their sums agree.
-    """
-    occupied = wsum > 0
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    Yb = wysum[:, occupied] / wsum[occupied]
-    return BinnedDesign(x=centers[occupied], w=wsum[occupied], Y=Yb)
+    acc.add(x, rows, weights)
+    return acc.design()
 
 
 #: Gaussian support cutoff for the banded fast path, in bandwidths.

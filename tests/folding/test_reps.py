@@ -20,7 +20,7 @@ import pytest
 from repro.folding.cache import FoldCache
 from repro.folding.extrapolate import (
     ExtrapolatedFold,
-    exact_performance_fold,
+    extrapolated_fold,
     measure_fidelity,
 )
 from repro.folding.report import FoldedReport, fold_trace
@@ -215,7 +215,7 @@ class TestExtrapolation:
 
     def test_prebuilt_representatives(self, trace, instances):
         reps = select_representatives(trace, instances=instances, budget=2)
-        via_obj = fold_trace(trace, representatives=reps)
+        via_obj = extrapolated_fold(trace, reps)
         via_budget = fold_trace(trace, rep_budget=2)
         assert via_obj.digest() == via_budget.digest()
 
@@ -236,24 +236,11 @@ class TestExtrapolation:
         assert measured.fidelity is not None
         assert measured.digest() == ext.digest()
 
-    def test_exact_performance_fold_matches_report(self, trace):
-        exact = exact_performance_fold(trace)
-        report = fold_trace(trace)
-        assert exact.digest() == fold_digest(report)
-
 
 class TestWiringErrors:
-    def test_streaming_incompatible(self, trace):
-        with pytest.raises(ValueError, match="streaming"):
-            fold_trace(trace, rep_budget=2, streaming=True)
-
     def test_align_incompatible(self, trace):
         with pytest.raises(ValueError, match="resident fold"):
             fold_trace(trace, rep_budget=2, align_regions=("a",))
-
-    def test_true_without_budget(self, trace):
-        with pytest.raises(ValueError, match="rep_budget"):
-            fold_trace(trace, representatives=True)
 
 
 class TestCacheKeying:
@@ -299,12 +286,3 @@ class TestCacheKeying:
         # a different budget misses
         other = fold_trace(trace, cache=cache, rep_budget=3, rep_seed=5)
         assert other.representatives.budget == 3
-
-    def test_prebuilt_selection_bypasses_cache(self, trace, tmp_path):
-        """A hand-built selection is not captured by the key, so it
-        must not be served from (or stored into) the cache."""
-        cache = FoldCache(tmp_path)
-        fold_trace(trace, cache=cache, rep_budget=2)  # seeds the cache
-        worst = select_representatives(trace, budget=2, seed=99)
-        via_obj = fold_trace(trace, representatives=worst, cache=cache)
-        assert via_obj.representatives.seed == 99

@@ -15,15 +15,9 @@ from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
 from repro.folding.detect import instances_from_iterations
+from repro.folding.model import PerformanceFold
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.stream import (
-    LiveFold,
-    StreamedFold,
-    StreamingFold,
-    build_prologue,
-    fold_digest,
-    stream_fold_trace,
-)
+from repro.folding.stream import LiveFold, fold_digest, stream_fold_trace
 from repro.pipeline import SessionConfig, run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.vmem.callstack import CallStack, Frame
@@ -57,7 +51,7 @@ def resident(trace):
 
 def assert_stream_matches_resident(streamed, report):
     """Bit-identity of everything the streamed fold re-derives."""
-    assert isinstance(streamed, StreamedFold)
+    assert isinstance(streamed, PerformanceFold)
     assert streamed.digest() == fold_digest(report)
     np.testing.assert_array_equal(
         streamed.counters.sigma, report.counters.sigma
@@ -158,25 +152,6 @@ class TestEngineWorkloadMatrix:
             )
 
 
-class TestFoldTraceStreamingApi:
-    def test_streaming_flag(self, trace, resident):
-        streamed = fold_trace(trace, streaming=True, chunk_rows=333)
-        assert_stream_matches_resident(streamed, resident)
-
-    def test_streaming_rejects_align(self, trace):
-        with pytest.raises(ValueError):
-            fold_trace(trace, streaming=True, align_regions=("triad",))
-
-    def test_streaming_rejects_explicit_instances(self, trace):
-        instances = instances_from_iterations(trace)
-        with pytest.raises(ValueError):
-            fold_trace(trace, instances=instances, streaming=True)
-
-    def test_chunk_rows_requires_streaming(self, trace):
-        with pytest.raises(ValueError):
-            fold_trace(trace, chunk_rows=128)
-
-
 class TestCacheSharing:
     def test_resident_entry_serves_streamed(self, trace, tmp_path):
         cache = FoldCache(directory=tmp_path)
@@ -195,6 +170,21 @@ class TestCacheSharing:
         # ... after which the streamed path adapts the resident entry
         again = stream_fold_trace(trace, cache=cache)
         assert_stream_matches_resident(again, report)
+
+    @pytest.mark.parametrize("directions", [None, ("counters", "address", "lines")])
+    def test_counter_subset_never_aliases_default(self, trace, tmp_path, directions):
+        """A counter-subset fold is stored under its own key: a later
+        default-subset request, through this cache or a fresh one on
+        the same directory, gets every counter back."""
+        cache = FoldCache(directory=tmp_path)
+        subset = ("instructions", "cycles")
+        first = stream_fold_trace(
+            trace, counters=subset, cache=cache, directions=directions
+        )
+        assert set(first.counters.curves) == set(subset)
+        for c in (cache, FoldCache(directory=tmp_path)):
+            full = stream_fold_trace(trace, cache=c, directions=directions)
+            assert set(full.counters.curves) == set(SAMPLE_COUNTERS)
 
 
 def synthetic_trace(drift: float) -> Trace:
@@ -266,31 +256,6 @@ class TestLiveFold:
         for mark in pending:
             live.mark_iteration(mark)
         return live.finish(end_time_ns=marks[-1]), instances
-
-    def reference(self, trace, instances, chunk_rows):
-        """StreamingFold pinned to LiveFold's fixed-span binned regime."""
-        prologue = build_prologue(
-            trace.iter_sample_chunks(NAMES, chunk_rows),
-            instances,
-            span_override=(0.0, 1.0),
-            force_binned=True,
-        )
-        acc = StreamingFold(prologue)
-        for chunk in trace.iter_sample_chunks(NAMES, chunk_rows):
-            acc.add_chunk(chunk)
-        return acc.result(chunk_rows=chunk_rows)
-
-    @pytest.mark.parametrize("chunk_rows", [64, 640])
-    def test_matches_streaming_fold(self, trace, chunk_rows):
-        final, instances = self.feed(trace, chunk_rows)
-        ref = self.reference(trace, instances, chunk_rows)
-        assert final.digest() == ref.digest()
-        for name in SAMPLE_COUNTERS:
-            curve = final.counters.curves[name]
-            refc = ref.counters.curves[name]
-            np.testing.assert_array_equal(curve.cumulative, refc.cumulative)
-            np.testing.assert_array_equal(curve.rate, refc.rate)
-            np.testing.assert_array_equal(final.totals[name], ref.totals[name])
 
     def test_snapshot_lifecycle(self, trace):
         live = LiveFold()

@@ -8,8 +8,8 @@ The acceptance properties of the three-direction streamed report
 * the bounded parts — reservoir and density sketch — are
   chunk-size-invariant by construction, and their fidelity against the
   resident scatter is measured, not assumed;
-* the wiring works end to end: ``fold_trace(streaming=True,
-  directions=...)``, the CLI ``--stream --directions``, cache ``kind``
+* the wiring works end to end: ``stream_fold_trace(directions=...)``,
+  the CLI ``--stream --directions``, cache ``kind``
   separation, ASCII rendering, and :class:`LiveFold` hooked onto a
   running :class:`~repro.extrae.tracer.Tracer`.
 """
@@ -22,8 +22,9 @@ from repro.extrae.tracer import TracerConfig
 from repro.folding.ascii_plot import render_address_panel, render_figure
 from repro.folding.cache import FoldCache
 from repro.folding.lines import FoldedLines, fold_lines, leaf_and_region
+from repro.folding.model import PerformanceFold
 from repro.folding.report import FoldedReport, fold_trace
-from repro.folding.stream import LiveFold, StreamedFold, stream_fold_trace
+from repro.folding.stream import LiveFold, stream_fold_trace
 from repro.folding.stream_views import (
     AddressAccounting,
     AddressReservoir,
@@ -304,20 +305,13 @@ class TestFoldLinesVectorized:
 
 
 class TestApiWiring:
-    def test_fold_trace_streaming_directions(self, trace, streamed):
-        report = fold_trace(
-            trace, streaming=True, chunk_rows=333, directions=DIRECTIONS
-        )
-        assert isinstance(report, StreamedReport)
-        assert report.digest() == streamed.digest()
-
     def test_pipeline_face(self, trace, streamed):
         report = streamfold_trace(trace, chunk_rows=333, directions=DIRECTIONS)
         assert report.digest() == streamed.digest()
 
     def test_counters_only_stays_streamed_fold(self, trace):
         assert isinstance(
-            stream_fold_trace(trace, directions=("counters",)), StreamedFold
+            stream_fold_trace(trace, directions=("counters",)), PerformanceFold
         )
 
     def test_directions_normalized(self, trace):
@@ -330,17 +324,6 @@ class TestApiWiring:
     def test_unknown_direction_rejected(self, trace):
         with pytest.raises(ValueError):
             stream_fold_trace(trace, directions=("bogus",))
-
-    def test_directions_require_streaming(self, trace):
-        with pytest.raises(ValueError):
-            fold_trace(trace, directions=DIRECTIONS)
-
-    def test_streaming_registry_needs_address_direction(self, trace):
-        with pytest.raises(ValueError):
-            fold_trace(
-                trace, streaming=True,
-                registry=DataObjectRegistry(trace.objects),
-            )
 
     def test_explicit_registry_accepted(self, trace, streamed):
         report = stream_fold_trace(
