@@ -54,13 +54,10 @@ from memprof import memory_probe
 
 from repro.extrae.trace import Trace
 from repro.extrae.tracer import TracerConfig
+from repro.folding.address import RESERVOIR_CAPACITY, DensitySketch
 from repro.folding.report import fold_trace
 from repro.folding.stream import fold_digest, stream_fold_trace
-from repro.folding.stream_views import (
-    AddressAccounting,
-    lines_from_folded,
-    sketch_from_scatter,
-)
+from repro.folding.stream_views import lines_from_folded
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
@@ -104,18 +101,22 @@ def bench_resident(path: Path):
         trace = Trace.load(path)
         report = fold_trace(trace)
         a = report.addresses
-        lo, hi = int(a.address.min()), int(a.address.max())
+        # The resident view holds every kept sample; binned over the
+        # streamed sketch's span (the kept-address extremes) it is the
+        # reference the sketch must equal.
+        sketch = DensitySketch.empty(int(a.address.min()), int(a.address.max()))
+        sketch.add(a.sigma, a.address)
         refs = {
             "counters_digest": fold_digest(report),
-            "accounting_digest": AddressAccounting.from_addresses(a).digest(),
+            "accounting_digest": a.accounting.digest(),
             "lines_digest": lines_from_folded(report.lines).digest(),
-            "sketch_digest": sketch_from_scatter(a, lo, hi).digest(),
-            "band_density": sketch_from_scatter(a, lo, hi).band_density(),
+            "sketch_digest": sketch.digest(),
+            "band_density": sketch.band_density(),
             "matched_fraction": a.matched_fraction(),
             "n_scatter": a.n,
             "n_folded": report.samples.n,
         }
-    del report, trace, a
+    del report, trace, a, sketch
     gc.collect()
     return refs, probe
 
@@ -167,11 +168,9 @@ def main(argv: list[str] | None = None) -> int:
 
     a = streamed_report.addresses
     sketch = a.sketch
-    band = ((a.address - np.uint64(sketch.lo)) * np.uint64(sketch.bands)) // (
-        np.uint64(sketch.hi - sketch.lo + 1)
-    )
-    band = np.minimum(band.astype(np.int64), sketch.bands - 1)
-    reservoir_density = np.bincount(band, minlength=sketch.bands) / max(a.n, 1)
+    reservoir_density = np.bincount(
+        sketch.band_of(a.address), minlength=sketch.bands
+    ) / max(a.n, 1)
     band_error = float(
         np.abs(reservoir_density - refs["band_density"]).max()
     )
@@ -223,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": round(streamed.elapsed_s, 3),
             "n_folded": streamed_report.n_folded,
             "reservoir_points": a.n,
-            "reservoir_capacity": a.capacity,
+            "reservoir_capacity": RESERVOIR_CAPACITY,
             "sketch_shape": [sketch.bands, sketch.sigma_bins],
             "line_rows": len(streamed_report.lines.line_table),
         },

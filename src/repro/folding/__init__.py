@@ -20,7 +20,13 @@ evolution from coarse-grained sampling:
   product every fold path returns (:func:`fold_digest` compares them);
 * :mod:`repro.folding.address` — the folded address-space view (this
   paper's extension): sampled addresses vs σ with op, data source,
-  latency and resolved data object;
+  latency and resolved data object, plus exact per-object/source/op
+  accounting.  :class:`AddressStream` is its one builder: the resident
+  fold feeds it the whole kept table as one chunk with no point bound,
+  streamed and live folds feed it chunk by chunk into a bounded
+  reservoir (plus a density sketch when the address span is known);
+  either way the product is :class:`FoldedAddresses`, and
+  :func:`measure_address_fidelity` measures what the bound costs;
 * :mod:`repro.folding.lines` — the folded source-code view: the code
   line executing at each σ;
 * :mod:`repro.folding.report` — the combined three-direction report
@@ -34,10 +40,9 @@ evolution from coarse-grained sampling:
   streams: the exact two-pass :func:`stream_fold_trace` and the
   single-pass live :class:`LiveFold`, both able to carry the streamed
   address/line directions;
-* :mod:`repro.folding.stream_views` — the bounded per-direction
-  summaries behind the streamed :class:`StreamedReport`: exact
-  additive address accounting, deterministic reservoir + density
-  sketch over the scatter, and (line × σ-bin) count matrices;
+* :mod:`repro.folding.stream_views` — the streamed line direction,
+  (line × σ-bin) and (region × σ-bin) count matrices, and the combined
+  streamed :class:`StreamedReport`;
 * :mod:`repro.folding.signatures` / :mod:`repro.folding.reps` /
   :mod:`repro.folding.extrapolate` — representative-instance sampling:
   per-instance access-pattern signatures, seeded medoid clustering
@@ -45,7 +50,12 @@ evolution from coarse-grained sampling:
   with a measured fidelity bound (:func:`measure_fidelity`).
 """
 
-from repro.folding.address import FoldedAddresses, fold_addresses
+from repro.folding.address import (
+    AddressStream,
+    FoldedAddresses,
+    fold_addresses,
+    measure_address_fidelity,
+)
 from repro.folding.align import TimeWarp, build_warp
 from repro.folding.ascii_plot import render_figure
 from repro.folding.cache import FoldCache
@@ -72,14 +82,10 @@ from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.reps import Representatives, select_representatives
 from repro.folding.signatures import InstanceSignatures, instance_signatures
 from repro.folding.stream import LiveFold, StreamingFold, stream_fold_trace
-from repro.folding.stream_views import (
-    StreamedAddresses,
-    StreamedLines,
-    StreamedReport,
-    measure_address_fidelity,
-)
+from repro.folding.stream_views import StreamedLines, StreamedReport
 
 __all__ = [
+    "AddressStream",
     "ExtrapolatedFold",
     "FidelityBound",
     "FoldCache",
@@ -89,7 +95,6 @@ __all__ = [
     "LiveFold",
     "PerformanceFold",
     "Representatives",
-    "StreamedAddresses",
     "StreamedLines",
     "StreamedReport",
     "StreamingFold",

@@ -71,8 +71,8 @@ def render_address_panel(
     *report* is anything carrying an address view — a resident
     :class:`FoldedReport`, a streamed
     :class:`~repro.folding.stream_views.StreamedReport` (the panel
-    then renders the reservoir points), or a bare address view itself
-    (``FoldedAddresses``/``StreamedAddresses``).
+    then renders the reservoir points), or a bare
+    :class:`~repro.folding.address.FoldedAddresses` itself.
     """
     a = getattr(report, "addresses", report)
     if a is None:

@@ -47,7 +47,10 @@ __all__ = ["FOLD_CACHE_VERSION", "FoldCache"]
 #: (representative-instance) folds can never alias exact reports.
 #: v3: one pickled performance type (``PerformanceFold``) for streamed
 #: entries; streamed keys carry a non-default counter subset.
-FOLD_CACHE_VERSION = 3
+#: v4: one pickled address type (``FoldedAddresses`` with its exact
+#: accounting) for resident and streamed entries; streamed keys no
+#: longer carry reservoir or line-binning parameters.
+FOLD_CACHE_VERSION = 4
 
 _ENV_DIR = "REPRO_FOLD_CACHE_DIR"
 _SUFFIX = ".foldreport"
@@ -337,5 +340,4 @@ def _rewrap(report):
     addresses = getattr(report, "addresses", None)
     if addresses is None:
         return report
-    fresh = _replace(addresses, bands=list(addresses.bands))
-    return _replace(report, addresses=fresh)
+    return _replace(report, addresses=addresses.with_fresh_bands())

@@ -17,7 +17,13 @@ from repro.extrae.trace import Trace
 from repro.folding.fold import FoldedSamples
 from repro.vmem.callstack import CallStack
 
-__all__ = ["FoldedLines", "LineTableBuilder", "fold_lines", "leaf_and_region"]
+__all__ = [
+    "FoldedLines",
+    "LineTableBuilder",
+    "fold_lines",
+    "leaf_and_region",
+    "region_runs",
+]
 
 
 def leaf_and_region(stack: CallStack) -> tuple[tuple[str, str, int], str]:
@@ -43,14 +49,14 @@ def leaf_and_region(stack: CallStack) -> tuple[tuple[str, str, int], str]:
 class LineTableBuilder:
     """Incremental interner of call-stacks into line/region tables.
 
-    Feed call-stack ids through :meth:`intern`; line keys and region
-    names are appended to :attr:`line_table`/:attr:`region_table` in
-    the order the ids are first seen, and :meth:`line_ids_of` /
-    :meth:`region_ids_of` map id arrays onto the tables with one
-    vectorized lookup.  The resident fold interns the trace's sorted
-    unique ids once; the streaming fold interns each chunk's unseen
-    ids as they arrive (chunk-invariant: an id's first appearance in a
-    time-ordered stream does not depend on the chunking).
+    Feed call-stack id arrays through :meth:`assign`; line keys and
+    region names are appended to :attr:`line_table`/:attr:`region_table`
+    in the order the ids are interned, and every sample is mapped onto
+    the tables with one vectorized gather.  The resident fold interns
+    the trace's sorted unique ids once; the streaming fold interns each
+    chunk's unseen ids in first-appearance order (chunk-invariant: an
+    id's first appearance in a time-ordered stream does not depend on
+    the chunking).
     """
 
     def __init__(self, resolver) -> None:
@@ -88,19 +94,48 @@ class LineTableBuilder:
                 self.region_table.append(region)
             self._cs_region[cs_id] = self._region_lookup[region]
 
-    def _map(self, table: dict[int, int], cs_ids: np.ndarray) -> np.ndarray:
-        uniq = np.unique(np.asarray(cs_ids))
-        vals = np.array([table[int(i)] for i in uniq], dtype=np.int64)
-        # One fancy-indexed gather per sample instead of a Python loop.
-        return vals[np.searchsorted(uniq, np.asarray(cs_ids))]
+    def assign(
+        self, cs_ids: np.ndarray, *, first_appearance: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Intern the unseen ids of *cs_ids* and map every sample onto
+        the tables: ``(line_id, region_id)``.
 
-    def line_ids_of(self, cs_ids: np.ndarray) -> np.ndarray:
-        """Vectorized per-sample line ids (every id must be interned)."""
-        return self._map(self._cs_line, cs_ids)
+        New ids are interned in sorted-id order, or with
+        *first_appearance* in the order they first occur in *cs_ids*.
+        One ``np.unique`` serves both the interning and the per-sample
+        gather.
+        """
+        cs_ids = np.asarray(cs_ids)
+        if first_appearance:
+            uniq, first = np.unique(cs_ids, return_index=True)
+            self.intern(uniq[np.argsort(first, kind="stable")])
+        else:
+            uniq = np.unique(cs_ids)
+            self.intern(uniq)
+        line_vals = np.array([self._cs_line[int(i)] for i in uniq], dtype=np.int64)
+        region_vals = np.array(
+            [self._cs_region[int(i)] for i in uniq], dtype=np.int64
+        )
+        # Per-sample position in the sorted unique ids: one gather per
+        # table instead of a Python loop over samples.
+        pos = np.searchsorted(uniq, cs_ids)
+        return line_vals[pos], region_vals[pos]
 
-    def region_ids_of(self, cs_ids: np.ndarray) -> np.ndarray:
-        """Vectorized per-sample region ids."""
-        return self._map(self._cs_region, cs_ids)
+
+def region_runs(
+    ids: np.ndarray, weights: np.ndarray, table: list[str], min_run: int
+) -> list[str]:
+    """Names of the runs of equal consecutive *ids* whose summed
+    *weights* reach *min_run*, consecutive duplicates collapsed."""
+    ids = np.asarray(ids)
+    if not ids.size:
+        return []
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    lengths = np.add.reduceat(np.asarray(weights, dtype=np.int64), starts)
+    kept = ids[starts][lengths >= min_run]
+    if kept.size:
+        kept = kept[np.concatenate([[True], kept[1:] != kept[:-1]])]
+    return [table[int(i)] for i in kept]
 
 
 @dataclass
@@ -137,24 +172,8 @@ class FoldedLines:
     def region_sequence(self, min_run: int = 5) -> list[str]:
         """Regions in σ order, runs shorter than *min_run* samples
         dropped, consecutive duplicates collapsed."""
-        order = np.argsort(self.sigma, kind="stable")
-        ids = self.region_id[order]
-        out: list[str] = []
-        run_id, run_len = None, 0
-        for i in ids:
-            if i == run_id:
-                run_len += 1
-            else:
-                if run_id is not None and run_len >= min_run:
-                    name = self.region_table[int(run_id)]
-                    if not out or out[-1] != name:
-                        out.append(name)
-                run_id, run_len = i, 1
-        if run_id is not None and run_len >= min_run:
-            name = self.region_table[int(run_id)]
-            if not out or out[-1] != name:
-                out.append(name)
-        return out
+        ids = self.region_id[np.argsort(self.sigma, kind="stable")]
+        return region_runs(ids, np.ones(ids.size, np.int64), self.region_table, min_run)
 
 
 def fold_lines(folded: FoldedSamples, trace: Trace) -> FoldedLines:
@@ -164,18 +183,17 @@ def fold_lines(folded: FoldedSamples, trace: Trace) -> FoldedLines:
     (second-to-leaf frame when the batch added a source-line leaf); the
     *line* is the leaf frame itself.
     """
-    table = folded.table
-    cs_ids = table.callstack_id
-    # Intern the sorted unique ids (the historical table order), then
+    # Intern the sorted unique ids (the historical table order) and
     # map per-sample ids with one vectorized gather — the tables are
-    # built once per trace from O(unique call-stacks) Python work, and
-    # the per-sample loops are gone.
+    # built once per trace from O(unique call-stacks) Python work.
     builder = LineTableBuilder(trace.callstack)
-    builder.intern(np.unique(cs_ids))
+    line_id, region_id = builder.assign(
+        folded.table.callstack_id, first_appearance=False
+    )
     return FoldedLines(
         sigma=folded.sigma,
-        line_id=builder.line_ids_of(cs_ids),
+        line_id=line_id,
         line_table=builder.line_table,
-        region_id=builder.region_ids_of(cs_ids),
+        region_id=region_id,
         region_table=builder.region_table,
     )

@@ -129,22 +129,12 @@ class FoldPlan:
         """
         from repro.folding.report import FoldedReport
 
-        addresses = FoldedAddresses(
-            sigma=self.addresses.sigma,
-            address=self.addresses.address,
-            op=self.addresses.op,
-            source=self.addresses.source,
-            latency=self.addresses.latency,
-            object_index=self.addresses.object_index,
-            registry=self.addresses.registry,
-            bands=list(self.addresses.bands),
-        )
         return FoldedReport(
             trace=self.trace,
             instances=self.instances,
             samples=self.samples,
             counters=self.fold_counters(grid_points, bandwidth, counters),
-            addresses=addresses,
+            addresses=self.addresses.with_fresh_bands(),
             lines=self.lines,
             registry=self.registry,
         )

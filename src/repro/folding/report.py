@@ -24,7 +24,13 @@ from repro.folding.model import FoldedCounters, PerformanceFold
 from repro.memsim.datasource import DataSource
 from repro.objects.registry import DataObjectRegistry
 
-__all__ = ["FoldedReport", "export_counters_dat", "fold_trace"]
+__all__ = [
+    "FoldedReport",
+    "export_addresses_dat",
+    "export_counters_dat",
+    "export_objects_dat",
+    "fold_trace",
+]
 
 
 @dataclass
@@ -97,42 +103,51 @@ class FoldedReport:
         )
         written.append(path)
 
-        path = directory / "addresses.dat"
-        a = self.addresses
-        # Index -1 (unmatched) picks the trailing "-" sentinel.
-        names = np.array(
-            [rec.name for rec in self.registry.records] + ["-"], dtype=object
-        )
-        src_uniq, src_inv = np.unique(a.source, return_inverse=True)
-        src_pretty = np.array(
-            [DataSource(int(s)).pretty for s in src_uniq], dtype=object
-        )
-        _write_columns(
-            path,
-            "# sigma address op source latency object",
-            _fmt_float(a.sigma, 6),
-            _fmt_hex(a.address),
-            _fmt_int(a.op),
-            src_pretty[src_inv].tolist() if a.n else [],
-            _fmt_float(a.latency, 1),
-            names[a.object_index].tolist() if a.n else [],
-        )
-        written.append(path)
-
+        written.append(export_addresses_dat(self.addresses, directory))
         written.append(export_counters_dat(self.counters, directory))
-
-        path = directory / "objects.dat"
-        rows = [
-            f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} {rec.bytes_user}"
-            for rec in self.registry.records
-        ]
-        rows += [
-            f"{band.label} band {band.lo:#x} {band.hi:#x} 0"
-            for band in self.addresses.bands
-        ]
-        path.write_text("\n".join(["# name kind start end bytes_user", *rows]) + "\n")
-        written.append(path)
+        written.append(export_objects_dat(self.addresses, directory))
         return written
+
+
+def export_addresses_dat(addresses: FoldedAddresses, directory: str | Path) -> Path:
+    """Write the scatter points (``addresses.dat``) of an address view:
+    σ, address, op, source, latency, object."""
+    a = addresses
+    path = Path(directory) / "addresses.dat"
+    # Index -1 (unmatched) picks the trailing "-" sentinel.
+    names = np.array(
+        [rec.name for rec in a.registry.records] + ["-"], dtype=object
+    )
+    src_uniq, src_inv = np.unique(a.source, return_inverse=True)
+    src_pretty = np.array(
+        [DataSource(int(s)).pretty for s in src_uniq], dtype=object
+    )
+    _write_columns(
+        path,
+        "# sigma address op source latency object",
+        _fmt_float(a.sigma, 6),
+        _fmt_hex(a.address),
+        _fmt_int(a.op),
+        src_pretty[src_inv].tolist() if a.n else [],
+        _fmt_float(a.latency, 1),
+        names[a.object_index].tolist() if a.n else [],
+    )
+    return path
+
+
+def export_objects_dat(addresses: FoldedAddresses, directory: str | Path) -> Path:
+    """Write the registry records plus annotation bands (``objects.dat``)."""
+    path = Path(directory) / "objects.dat"
+    rows = [
+        f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} {rec.bytes_user}"
+        for rec in addresses.registry.records
+    ]
+    rows += [
+        f"{band.label} band {band.lo:#x} {band.hi:#x} 0"
+        for band in addresses.bands
+    ]
+    path.write_text("\n".join(["# name kind start end bytes_user", *rows]) + "\n")
+    return path
 
 
 def export_counters_dat(counters: FoldedCounters, directory: str | Path) -> Path:

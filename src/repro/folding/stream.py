@@ -27,11 +27,11 @@ Two drivers sit on top of the kernel:
   bandwidth the ablations use).
 
 With ``directions=("counters", "address", "lines")`` the drivers also
-feed the bounded per-direction accumulators of
-:mod:`repro.folding.stream_views` — an exact additive address
-accounting plus a deterministic reservoir and density sketch for the
-scatter, and fixed (line × σ-bin) count matrices for the source-line
-track — and return a three-direction
+feed the bounded per-direction accumulators — the address accumulator
+of :mod:`repro.folding.address` (exact accounting, a reservoir of at
+most :data:`~repro.folding.address.RESERVOIR_CAPACITY` points and a
+density sketch) and the (line × σ-bin) count matrices of
+:mod:`repro.folding.stream_views` — and return a three-direction
 :class:`~repro.folding.stream_views.StreamedReport` in
 O(chunk + summary) parent memory.
 """
@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.extrae.trace import Trace
+from repro.folding.address import AddressStream
 from repro.folding.detect import FoldInstances, instances_from_iterations
 from repro.folding.fold import (
     FoldPrologue,
@@ -58,13 +59,7 @@ from repro.folding.model import (
     fit_counter_curves,
     fold_digest,
 )
-from repro.folding.stream_views import (
-    LINE_SIGMA_BINS,
-    RESERVOIR_CAPACITY,
-    AddressStream,
-    LineStream,
-    StreamedReport,
-)
+from repro.folding.stream_views import LineStream, StreamedReport
 from repro.objects.registry import DataObjectRegistry
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.util.pava import DesignAccumulator
@@ -206,11 +201,6 @@ def stream_fold_trace(
     report_every: int | None = None,
     on_snapshot=None,
     directions=None,
-    registry: DataObjectRegistry | None = None,
-    reservoir_capacity: int = RESERVOIR_CAPACITY,
-    reservoir_seed: int = 0,
-    reservoir_weighting: str = "uniform",
-    line_sigma_bins: int = LINE_SIGMA_BINS,
 ) -> PerformanceFold | StreamedReport:
     """Fold a trace chunk by chunk — exact, two passes, O(chunk) memory.
 
@@ -253,16 +243,10 @@ def stream_fold_trace(
         ``("counters", "address", "lines")`` — returns a
         :class:`~repro.folding.stream_views.StreamedReport` whose
         extra directions were accumulated in the same pass 2, still in
-        O(chunk + summary) memory.
-    registry:
-        Object registry for the streamed address direction (default:
-        built from the trace's object records, exactly as the resident
-        fold plan does).
-    reservoir_capacity / reservoir_seed / reservoir_weighting:
-        Scatter reservoir knobs
-        (:class:`~repro.folding.stream_views.AddressReservoir`).
-    line_sigma_bins:
-        σ resolution of the streamed line/region count matrices.
+        O(chunk + summary) memory.  The address direction resolves
+        against the trace's own object records, exactly as the resident
+        fold does, and holds at most
+        :data:`~repro.folding.address.RESERVOIR_CAPACITY` scatter points.
     """
     trace = source if isinstance(source, Trace) else Trace.load(source)
     dirs = _normalize_directions(directions)
@@ -286,10 +270,6 @@ def stream_fold_trace(
             hit = cache.get(key)
             if hit is not None:
                 return hit.performance
-        elif registry is not None:
-            # An explicit registry is not captured by the key (exactly
-            # as the resident fold treats explicit registries): bypass.
-            cache = None
         else:
             # chunk_rows is deliberately absent: the products are
             # chunk-size-invariant, so any chunking serves any other.
@@ -300,10 +280,6 @@ def stream_fold_trace(
                 bandwidth=bandwidth,
                 prune_tolerance=prune_tolerance,
                 directions=dirs,
-                reservoir_capacity=reservoir_capacity,
-                reservoir_seed=reservoir_seed,
-                reservoir_weighting=reservoir_weighting,
-                line_sigma_bins=line_sigma_bins,
                 **subset,
             )
             hit = cache.get(key)
@@ -325,18 +301,12 @@ def stream_fold_trace(
     line_stream = None
     extras: tuple[str, ...] = ()
     if want_address:
-        if registry is None:
-            registry = DataObjectRegistry(trace.objects)
         addr_stream = AddressStream(
-            registry,
-            prologue.addr_range,
-            capacity=reservoir_capacity,
-            seed=reservoir_seed,
-            weighting=reservoir_weighting,
+            DataObjectRegistry(trace.objects), prologue.addr_range
         )
         extras += _ADDRESS_COLUMNS
     if want_lines:
-        line_stream = LineStream(trace.callstack, sigma_bins=line_sigma_bins)
+        line_stream = LineStream(trace.callstack)
         extras += ("callstack_id",)
     for chunk in trace.iter_sample_chunks(names + extras, chunk_rows):
         _feed_sinks(chunk, acc.add_chunk(chunk), addr_stream, line_stream)
@@ -404,8 +374,7 @@ class LiveFold:
     never O(stream).
 
     With ``directions`` beyond ``("counters",)`` the flush also feeds
-    the bounded address/line accumulators of
-    :mod:`repro.folding.stream_views`, and :meth:`snapshot_report`
+    the bounded address and line accumulators, and :meth:`snapshot_report`
     serves a partial three-panel
     :class:`~repro.folding.stream_views.StreamedReport` at any point.
     Live limitations, both documented approximations of the offline
@@ -426,10 +395,6 @@ class LiveFold:
         name: str = "iteration",
         directions=None,
         callstack_resolver=None,
-        reservoir_capacity: int = RESERVOIR_CAPACITY,
-        reservoir_seed: int = 0,
-        reservoir_weighting: str = "uniform",
-        line_sigma_bins: int = LINE_SIGMA_BINS,
     ) -> None:
         self._counters = tuple(counters)
         self.grid_points = grid_points
@@ -441,18 +406,10 @@ class LiveFold:
         self._line: LineStream | None = None
         extras: tuple[str, ...] = ()
         if "address" in self._directions:
-            self._addr = AddressStream(
-                DataObjectRegistry(),
-                None,
-                capacity=reservoir_capacity,
-                seed=reservoir_seed,
-                weighting=reservoir_weighting,
-            )
+            self._addr = AddressStream(DataObjectRegistry(), None)
             extras += _ADDRESS_COLUMNS
         if "lines" in self._directions:
-            self._line = LineStream(
-                callstack_resolver, sigma_bins=line_sigma_bins
-            )
+            self._line = LineStream(callstack_resolver)
             extras += ("callstack_id",)
         self._extras = extras
         self._acc = DesignAccumulator(len(self._counters))

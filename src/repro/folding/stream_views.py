@@ -1,573 +1,56 @@
-"""Streaming the address and line fold directions.
+"""The streamed line direction and the combined streamed report.
 
-PR 6 streamed the *performance* direction (counter curves) in O(chunk)
-memory; this module streams the other two panels of Figure 1 — the
-folded address scatter and the source-line track — so a complete
-three-direction report fits in O(chunk + summary) memory.
+The address direction has one accumulator for every fold path
+(:class:`~repro.folding.address.AddressStream`); the line direction
+keeps two products.  The resident :class:`~repro.folding.lines.FoldedLines`
+holds one (σ, line, region) point per kept sample, while
+:class:`StreamedLines` collapses them into fixed (line × σ-bin) and
+(region × σ-bin) count matrices, so its memory does not grow with the
+trace:
 
-Each direction keeps a different kind of bounded state:
-
-* **Address, exact part** — :class:`AddressAccounting`: per-object,
-  per-source and per-op counts plus per-object latency sums.  All sums
-  are additive in stream order, so the chunked accumulation is
-  bit-identical to the resident fold (verified by digest).
-* **Address, scatter part** — the full (σ, address) scatter is O(kept
-  samples), so it cannot be held exactly.  Two bounded summaries stand
-  in for it: a deterministic seeded weighted reservoir
-  (:class:`AddressReservoir`, for point rendering) and a fixed
-  (address-band × σ-bin) integer density sketch
-  (:class:`DensitySketch`, for exact-bin density).  Both are
-  chunk-size-invariant by construction: the reservoir keeps the global
-  top-``capacity`` samples under a hash-seeded key (Efraimidis–Spirakis
-  A-Res), and the sketch is a sum of non-negative integers.  Their
-  fidelity against the resident scatter is *measured*, not assumed
-  (:func:`measure_address_fidelity`).
-* **Lines** — per-chunk ``np.unique(callstack_id)`` feeds a persistent
-  :class:`~repro.folding.lines.LineTableBuilder`, and the per-sample
-  points collapse into fixed (line × σ-bin) and (region × σ-bin) count
-  matrices.  ``dominant_region`` and ``region_sequence`` work off the
-  matrices exactly as off the resident points for phase-shaped
-  workloads (exact for bin-aligned windows).
+* per-chunk call-stack ids feed a persistent
+  :class:`~repro.folding.lines.LineTableBuilder`; the matrices are
+  exact per bin and digest-equal to binning the resident points
+  (:func:`lines_from_folded`);
+* ``dominant_region`` is exact for bin-aligned windows;
+  ``region_sequence`` walks the bins in σ order, which matches the
+  per-sample sequence only where regions occupy contiguous σ spans
+  (phase-shaped workloads such as STREAM), not in general.
 
 The driver lives in :func:`repro.folding.stream.stream_fold_trace`
 (``directions=("counters", "address", "lines")``); this module holds
-the per-direction accumulators and the combined
-:class:`StreamedReport` product.
+the line accumulator and the combined :class:`StreamedReport` product.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.folding.address import AddressBand, FoldedAddresses
-from repro.folding.lines import FoldedLines, LineTableBuilder
-from repro.memsim.datasource import DataSource
-from repro.memsim.patterns import MemOp
+from repro.folding.address import FoldedAddresses, _hash_arrays
+from repro.folding.lines import FoldedLines, LineTableBuilder, region_runs
+from repro.folding.report import (
+    export_addresses_dat,
+    export_counters_dat,
+    export_objects_dat,
+)
 from repro.objects.registry import DataObjectRegistry
 
 __all__ = [
-    "AddressAccounting",
-    "AddressFidelity",
-    "AddressReservoir",
-    "AddressStream",
-    "DensitySketch",
     "LINE_SIGMA_BINS",
     "LineStream",
-    "RESERVOIR_CAPACITY",
-    "SKETCH_BANDS",
-    "SKETCH_SIGMA_BINS",
-    "StreamedAddresses",
     "StreamedLines",
     "StreamedReport",
     "lines_from_folded",
-    "measure_address_fidelity",
-    "sketch_from_scatter",
 ]
 
 #: σ resolution of the streamed line/region count matrices.  4096 bins
 #: keep windows at multiples of 1/4096 (0.25, 0.5, …) exactly
 #: bin-aligned, so ``dominant_region`` over such windows is exact.
 LINE_SIGMA_BINS = 4096
-#: σ resolution of the address density sketch.
-SKETCH_SIGMA_BINS = 512
-#: Address-band resolution of the density sketch.
-SKETCH_BANDS = 256
-#: Default reservoir size — enough to render a dense scatter panel.
-RESERVOIR_CAPACITY = 65536
-
-_N_SOURCE_CODES = int(max(DataSource)) + 1
-_N_OP_CODES = int(max(MemOp)) + 1
-
-# splitmix64 (same finalizer idiom as repro.simproc.spe).
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_SPLITMIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Full splitmix64 of a uint64 array (gamma step + finalizer)."""
-    x = np.asarray(x, dtype=np.uint64) + np.uint64(_SPLITMIX_GAMMA)
-    x = (x ^ (x >> np.uint64(30))) * _SPLITMIX_1
-    x = (x ^ (x >> np.uint64(27))) * _SPLITMIX_2
-    return x ^ (x >> np.uint64(31))
-
-
-def _hash_arrays(*arrays: np.ndarray) -> "hashlib._Hash":
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(str(a.dtype).encode())
-        h.update(np.int64(a.size).tobytes())
-        h.update(a.tobytes())
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Address direction: exact accounting.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AddressAccounting:
-    """Exact additive accounting of the streamed address samples.
-
-    Per-object rows (index = registry record index, trailing row =
-    unmatched), per-source and per-op counts, and per-object latency
-    sums.  Every field is a plain sum in stream order, so feeding the
-    samples chunk by chunk replays the identical addition sequence as
-    the resident one-shot fold — the digests match bit for bit.
-    """
-
-    #: samples resolved to each object; last row collects unmatched.
-    object_counts: np.ndarray
-    object_loads: np.ndarray
-    object_stores: np.ndarray
-    object_latency: np.ndarray
-    #: samples per :class:`~repro.memsim.datasource.DataSource` code.
-    source_counts: np.ndarray
-    #: samples per :class:`~repro.memsim.patterns.MemOp` code.
-    op_counts: np.ndarray
-    n: int = 0
-
-    @classmethod
-    def empty(cls, n_objects: int) -> "AddressAccounting":
-        rows = n_objects + 1
-        return cls(
-            object_counts=np.zeros(rows, dtype=np.int64),
-            object_loads=np.zeros(rows, dtype=np.int64),
-            object_stores=np.zeros(rows, dtype=np.int64),
-            object_latency=np.zeros(rows, dtype=np.float64),
-            source_counts=np.zeros(_N_SOURCE_CODES, dtype=np.int64),
-            op_counts=np.zeros(_N_OP_CODES, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_addresses(cls, addresses: FoldedAddresses) -> "AddressAccounting":
-        """The resident reference: account a whole folded scatter."""
-        acc = cls.empty(len(addresses.registry))
-        acc.add(
-            addresses.op,
-            addresses.source,
-            addresses.latency,
-            addresses.object_index,
-        )
-        return acc
-
-    def add(
-        self,
-        op: np.ndarray,
-        source: np.ndarray,
-        latency: np.ndarray,
-        object_index: np.ndarray,
-    ) -> None:
-        """Account one chunk of samples (order-exact accumulation)."""
-        op = np.asarray(op, dtype=np.int64)
-        source = np.asarray(source, dtype=np.int64)
-        latency = np.asarray(latency, dtype=np.float64)
-        obj = np.asarray(object_index, dtype=np.int64)
-        unmatched_row = self.object_counts.size - 1
-        slot = np.where(obj >= 0, obj, unmatched_row)
-        np.add.at(self.object_counts, slot, 1)
-        np.add.at(self.object_loads, slot[op == int(MemOp.LOAD)], 1)
-        np.add.at(self.object_stores, slot[op == int(MemOp.STORE)], 1)
-        np.add.at(self.object_latency, slot, latency)
-        np.add.at(self.source_counts, source, 1)
-        np.add.at(self.op_counts, op, 1)
-        self.n += int(op.size)
-
-    def matched_fraction(self) -> float:
-        """Exact fraction of samples resolved to a registered object."""
-        if not self.n:
-            return 0.0
-        return float((self.n - self.object_counts[-1]) / self.n)
-
-    def digest(self) -> str:
-        """Hex SHA-256 over every accumulator (and the sample count)."""
-        h = _hash_arrays(
-            self.object_counts,
-            self.object_loads,
-            self.object_stores,
-            self.object_latency,
-            self.source_counts,
-            self.op_counts,
-        )
-        h.update(np.int64(self.n).tobytes())
-        return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Address direction: bounded scatter summaries.
-# ---------------------------------------------------------------------------
-
-_RESERVOIR_COLUMNS = (
-    "sigma",
-    "address",
-    "op",
-    "source",
-    "latency",
-    "object_index",
-)
-_COLUMN_DTYPES = {
-    "sigma": np.float64,
-    "address": np.uint64,
-    "op": np.int64,
-    "source": np.int64,
-    "latency": np.float64,
-    "object_index": np.int64,
-}
-
-
-class AddressReservoir:
-    """Deterministic weighted reservoir over the (σ, address) scatter.
-
-    Efraimidis–Spirakis A-Res with the randomness replaced by a
-    splitmix64 hash of ``(seed, global kept index)``: sample *i* gets
-    ``u_i = ((h_i >> 11) + 1) · 2⁻⁵³ ∈ (0, 1]`` and key
-    ``ln(u_i) / w_i``; the reservoir holds the ``capacity`` samples
-    with the largest keys.  Because the key depends only on the seed
-    and the sample's global index, the surviving set is the global
-    top-``capacity`` regardless of how the stream was chunked —
-    bit-identical across chunk sizes.  With ``weighting="uniform"``
-    (``w = 1``) the reservoir is a uniform sample, faithful to point
-    density; ``"latency"`` (``w = 1 + latency``) biases retention
-    toward slow accesses for hot-spot rendering.
-    """
-
-    def __init__(
-        self,
-        capacity: int = RESERVOIR_CAPACITY,
-        seed: int = 0,
-        weighting: str = "uniform",
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be positive")
-        if weighting not in ("uniform", "latency"):
-            raise ValueError(f"unknown reservoir weighting {weighting!r}")
-        self.capacity = int(capacity)
-        self.seed = int(seed)
-        self.weighting = weighting
-        self._keys = np.empty(0, dtype=np.float64)
-        self._index = np.empty(0, dtype=np.int64)
-        self._cols = {
-            name: np.empty(0, dtype=_COLUMN_DTYPES[name])
-            for name in _RESERVOIR_COLUMNS
-        }
-
-    def _keys_for(self, index: np.ndarray, latency: np.ndarray) -> np.ndarray:
-        base = (self.seed * _SPLITMIX_GAMMA) % (1 << 64)
-        h = _mix64(np.uint64(base) + index.astype(np.uint64))
-        u = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        keys = np.log(u)
-        if self.weighting == "latency":
-            keys = keys / (1.0 + np.asarray(latency, dtype=np.float64))
-        return keys
-
-    def add(self, start_index: int, **columns: np.ndarray) -> None:
-        """Offer a chunk of kept samples (global indices start at
-        *start_index*); keeps the global top-``capacity`` by key."""
-        n = int(np.asarray(columns["sigma"]).size)
-        if not n:
-            return
-        index = start_index + np.arange(n, dtype=np.int64)
-        keys = np.concatenate(
-            [self._keys, self._keys_for(index, columns["latency"])]
-        )
-        index = np.concatenate([self._index, index])
-        cols = {
-            name: np.concatenate(
-                [
-                    self._cols[name],
-                    np.asarray(columns[name]).astype(_COLUMN_DTYPES[name]),
-                ]
-            )
-            for name in _RESERVOIR_COLUMNS
-        }
-        if keys.size > self.capacity:
-            # Largest key first; global index breaks (improbable) ties
-            # so the selection is a pure function of (seed, indices).
-            order = np.lexsort((index, -keys))[: self.capacity]
-            keys, index = keys[order], index[order]
-            cols = {name: col[order] for name, col in cols.items()}
-        self._keys, self._index, self._cols = keys, index, cols
-
-    def result(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The surviving samples in stream order: ``(kept_index,
-        columns)``."""
-        order = np.argsort(self._index, kind="stable")
-        return self._index[order], {
-            name: col[order] for name, col in self._cols.items()
-        }
-
-
-@dataclass
-class DensitySketch:
-    """Fixed (address-band × σ-bin) integer density of the scatter.
-
-    ``counts[b, s]`` is the exact number of kept samples whose address
-    falls in band *b* of ``[lo, hi]`` and whose σ falls in bin *s* of
-    ``[0, 1)``.  Integer sums are associative, so the sketch is exactly
-    chunk-invariant *and* exactly equal to binning the resident scatter
-    — its density error against the resident fold is identically zero;
-    the rendering trade-off is purely the fixed bin resolution.
-    """
-
-    lo: int
-    hi: int
-    counts: np.ndarray
-
-    @classmethod
-    def empty(
-        cls,
-        lo: int,
-        hi: int,
-        bands: int = SKETCH_BANDS,
-        sigma_bins: int = SKETCH_SIGMA_BINS,
-    ) -> "DensitySketch":
-        if hi < lo:
-            raise ValueError("empty address span")
-        return cls(
-            lo=int(lo),
-            hi=int(hi),
-            counts=np.zeros((bands, sigma_bins), dtype=np.int64),
-        )
-
-    @property
-    def bands(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def sigma_bins(self) -> int:
-        return int(self.counts.shape[1])
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def add(self, sigma: np.ndarray, address: np.ndarray) -> None:
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if not sigma.size:
-            return
-        address = np.asarray(address).astype(np.uint64)
-        span = np.uint64(self.hi - self.lo + 1)
-        # addresses stay < 2^48 and bands ≤ 2^16, so the product fits
-        # comfortably in uint64 — exact integer band index.
-        band = ((address - np.uint64(self.lo)) * np.uint64(self.bands)) // span
-        band = np.minimum(band.astype(np.int64), self.bands - 1)
-        sbin = np.minimum(
-            (sigma * self.sigma_bins).astype(np.int64), self.sigma_bins - 1
-        )
-        np.add.at(self.counts, (band, sbin), 1)
-
-    def band_edges(self) -> np.ndarray:
-        """The ``bands + 1`` address edges of the sketch rows."""
-        span = self.hi - self.lo + 1
-        return self.lo + np.arange(self.bands + 1, dtype=np.float64) * (
-            span / self.bands
-        )
-
-    def band_density(self) -> np.ndarray:
-        """Fraction of samples per address band (sums to 1 when any)."""
-        total = self.counts.sum()
-        if not total:
-            return np.zeros(self.bands, dtype=np.float64)
-        return self.counts.sum(axis=1) / total
-
-    def digest(self) -> str:
-        h = _hash_arrays(self.counts)
-        h.update(np.int64(self.lo).tobytes())
-        h.update(np.int64(self.hi).tobytes())
-        return h.hexdigest()
-
-
-def sketch_from_scatter(
-    addresses: FoldedAddresses,
-    lo: int,
-    hi: int,
-    bands: int = SKETCH_BANDS,
-    sigma_bins: int = SKETCH_SIGMA_BINS,
-) -> DensitySketch:
-    """The resident reference: sketch a whole folded scatter over the
-    same span/resolution as a streamed sketch."""
-    sketch = DensitySketch.empty(lo, hi, bands, sigma_bins)
-    sketch.add(addresses.sigma, addresses.address)
-    return sketch
-
-
-# ---------------------------------------------------------------------------
-# Address direction: streamed product.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StreamedAddresses:
-    """The streamed stand-in for :class:`FoldedAddresses`.
-
-    The *exact* per-object/source/op/latency accounting plus the two
-    bounded scatter summaries.  The reservoir columns mirror the
-    resident scatter's columns (same names, same dtypes) so rendering
-    and export code can treat either; analyses that were exact on the
-    resident scatter but touch individual points (``sweep_of``,
-    ``stores_in_range``) run on the reservoir subsample here and are
-    approximate, while counts via :attr:`accounting` stay exact.
-    """
-
-    accounting: AddressAccounting
-    registry: DataObjectRegistry
-    #: ``None`` in live mode, where the address span is unknowable
-    #: up front (no whole-trace prologue pass)
-    sketch: DensitySketch | None
-    #: reservoir columns, in stream order
-    sigma: np.ndarray
-    address: np.ndarray
-    op: np.ndarray
-    source: np.ndarray
-    latency: np.ndarray
-    object_index: np.ndarray
-    #: global kept index of each reservoir point
-    kept_index: np.ndarray
-    capacity: int
-    seed: int
-    weighting: str
-    bands: list[AddressBand] = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        """Reservoir points held (≤ :attr:`capacity`)."""
-        return int(self.sigma.size)
-
-    @property
-    def n_folded(self) -> int:
-        """Exact number of streamed samples (accounting side)."""
-        return self.accounting.n
-
-    @property
-    def loads(self) -> np.ndarray:
-        return self.op == int(MemOp.LOAD)
-
-    @property
-    def stores(self) -> np.ndarray:
-        return self.op == int(MemOp.STORE)
-
-    def matched_fraction(self) -> float:
-        """Exact matched fraction, from the accounting (not the
-        reservoir)."""
-        return self.accounting.matched_fraction()
-
-    def annotate(self, label: str, lo: int, hi: int) -> None:
-        self.bands.append(AddressBand(label, lo, hi))
-
-    def in_range(self, lo: int, hi: int) -> np.ndarray:
-        return (self.address >= lo) & (self.address < hi)
-
-    def stores_in_range(self, lo: int, hi: int) -> int:
-        """Sampled stores within a range, over the *reservoir* points."""
-        return int((self.stores & self.in_range(lo, hi)).sum())
-
-    def object_samples(self, name: str) -> np.ndarray:
-        """Reservoir-point mask for the object called *name*."""
-        return self.object_index == self.registry.index_of(name)
-
-    def sweep_of(self, mask: np.ndarray) -> tuple[float, float]:
-        """Linear sweep fit over masked reservoir points."""
-        if mask.sum() < 2:
-            raise ValueError("need at least two samples to fit a sweep")
-        slope, intercept = np.polyfit(
-            self.sigma[mask], self.address[mask].astype(np.float64), 1
-        )
-        return float(intercept), float(slope)
-
-    def digest(self) -> str:
-        """Hex SHA-256 over accounting, sketch and reservoir state."""
-        h = _hash_arrays(
-            self.sigma,
-            self.address,
-            self.op,
-            self.source,
-            self.latency,
-            self.object_index,
-            self.kept_index,
-        )
-        h.update(self.accounting.digest().encode())
-        h.update(
-            self.sketch.digest().encode()
-            if self.sketch is not None
-            else b"no-sketch"
-        )
-        h.update(
-            f"{self.capacity}:{self.seed}:{self.weighting}".encode()
-        )
-        return h.hexdigest()
-
-
-class AddressStream:
-    """Chunkwise accumulator for the streamed address direction."""
-
-    def __init__(
-        self,
-        registry: DataObjectRegistry,
-        addr_range: tuple[int, int] | None,
-        *,
-        capacity: int = RESERVOIR_CAPACITY,
-        seed: int = 0,
-        weighting: str = "uniform",
-        bands: int = SKETCH_BANDS,
-        sigma_bins: int = SKETCH_SIGMA_BINS,
-    ) -> None:
-        self.registry = registry
-        self.accounting = AddressAccounting.empty(len(registry))
-        self.reservoir = AddressReservoir(capacity, seed, weighting)
-        # Live consumers cannot know the span up front; they run
-        # without the sketch (reservoir + exact accounting only).
-        self.sketch = (
-            DensitySketch.empty(addr_range[0], addr_range[1], bands, sigma_bins)
-            if addr_range is not None
-            else None
-        )
-        self._kept = 0
-
-    def add(
-        self,
-        sigma: np.ndarray,
-        address: np.ndarray,
-        op: np.ndarray,
-        source: np.ndarray,
-        latency: np.ndarray,
-    ) -> None:
-        """Fold one chunk of kept samples (stream order)."""
-        address = np.asarray(address).astype(np.uint64)
-        # One bulk resolve per chunk; the registry caches its interval
-        # tables, so the per-chunk cost is the lookup alone.
-        object_index = self.registry.resolve_bulk(address)
-        self.accounting.add(op, source, latency, object_index)
-        if self.sketch is not None:
-            self.sketch.add(sigma, address)
-        self.reservoir.add(
-            self._kept,
-            sigma=sigma,
-            address=address,
-            op=op,
-            source=source,
-            latency=latency,
-            object_index=object_index,
-        )
-        self._kept += int(np.asarray(sigma).size)
-
-    def result(self) -> StreamedAddresses:
-        kept_index, cols = self.reservoir.result()
-        return StreamedAddresses(
-            accounting=self.accounting,
-            registry=self.registry,
-            sketch=self.sketch,
-            kept_index=kept_index,
-            capacity=self.reservoir.capacity,
-            seed=self.reservoir.seed,
-            weighting=self.reservoir.weighting,
-            **cols,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +85,11 @@ class StreamedLines:
         return int(self.region_counts.sum())
 
     def dominant_region(self, lo: float, hi: float) -> str:
-        """Most common region among samples with σ in [lo, hi)."""
+        """Most common region among samples with σ in [lo, hi), counted
+        over the bins the window touches."""
         bins = self.sigma_bins
         b0 = max(int(np.floor(lo * bins)), 0)
-        b1 = min(max(int(np.ceil(hi * bins)), b0 + 1), bins)
+        b1 = min(int(np.ceil(hi * bins)), bins) if hi > lo else b0
         counts = self.region_counts[:, b0:b1].sum(axis=1)
         if not counts.any():
             raise ValueError(f"no samples in window [{lo}, {hi})")
@@ -615,31 +99,17 @@ class StreamedLines:
         """Regions in σ order, short runs dropped — the streamed
         counterpart of :meth:`FoldedLines.region_sequence`.
 
-        Each σ bin is attributed to its dominant region; a run's length
-        is the dominant region's sample count across the run's bins.
+        Each occupied σ bin is attributed to its dominant region; a
+        run's length is the dominant region's sample count across the
+        run's bins.
         """
-        dom = np.argmax(self.region_counts, axis=0)
-        occupied = self.region_counts.sum(axis=0) > 0
-        out: list[str] = []
-        run_id, run_len = None, 0
-
-        def close() -> None:
-            if run_id is not None and run_len >= min_run:
-                name = self.region_table[int(run_id)]
-                if not out or out[-1] != name:
-                    out.append(name)
-
-        for b in range(self.sigma_bins):
-            if not occupied[b]:
-                continue
-            r = dom[b]
-            if r == run_id:
-                run_len += int(self.region_counts[r, b])
-            else:
-                close()
-                run_id, run_len = r, int(self.region_counts[r, b])
-        close()
-        return out
+        occupied = np.flatnonzero(self.region_counts.sum(axis=0) > 0)
+        if not occupied.size:
+            return []
+        dom = np.argmax(self.region_counts[:, occupied], axis=0)
+        return region_runs(
+            dom, self.region_counts[dom, occupied], self.region_table, min_run
+        )
 
     def digest(self) -> str:
         """Hex SHA-256, canonicalized by sorting rows by table key.
@@ -676,15 +146,10 @@ class StreamedLines:
 class LineStream:
     """Chunkwise accumulator for the streamed line direction."""
 
-    def __init__(
-        self,
-        resolver=None,
-        sigma_bins: int = LINE_SIGMA_BINS,
-    ) -> None:
+    def __init__(self, resolver=None) -> None:
         self.builder = LineTableBuilder(resolver)
-        self.sigma_bins = int(sigma_bins)
-        self._line_counts = np.zeros((0, self.sigma_bins), dtype=np.int64)
-        self._region_counts = np.zeros((0, self.sigma_bins), dtype=np.int64)
+        self._line_counts = np.zeros((0, LINE_SIGMA_BINS), dtype=np.int64)
+        self._region_counts = np.zeros((0, LINE_SIGMA_BINS), dtype=np.int64)
 
     def bind(self, resolver) -> None:
         """Late-bind the call-stack resolver (live Tracer wiring)."""
@@ -693,7 +158,7 @@ class LineStream:
     def _grown(self, counts: np.ndarray, rows: int) -> np.ndarray:
         if counts.shape[0] >= rows:
             return counts
-        grown = np.zeros((rows, self.sigma_bins), dtype=np.int64)
+        grown = np.zeros((rows, LINE_SIGMA_BINS), dtype=np.int64)
         grown[: counts.shape[0]] = counts
         return grown
 
@@ -702,15 +167,9 @@ class LineStream:
         sigma = np.asarray(sigma, dtype=np.float64)
         if not sigma.size:
             return
-        cs_ids = np.asarray(callstack_id).astype(np.int64)
-        # Intern this chunk's unseen ids in FIRST-APPEARANCE order (not
-        # sorted-id order): an id's first appearance in the time-ordered
-        # stream is a fixed position regardless of chunking, so the
-        # table order is chunk-invariant.
-        uniq, first = np.unique(cs_ids, return_index=True)
-        self.builder.intern(uniq[np.argsort(first, kind="stable")])
-        line_id = self.builder.line_ids_of(cs_ids)
-        region_id = self.builder.region_ids_of(cs_ids)
+        line_id, region_id = self.builder.assign(
+            np.asarray(callstack_id).astype(np.int64), first_appearance=True
+        )
         self._line_counts = self._grown(
             self._line_counts, len(self.builder.line_table)
         )
@@ -718,7 +177,7 @@ class LineStream:
             self._region_counts, len(self.builder.region_table)
         )
         sbin = np.minimum(
-            (sigma * self.sigma_bins).astype(np.int64), self.sigma_bins - 1
+            (sigma * LINE_SIGMA_BINS).astype(np.int64), LINE_SIGMA_BINS - 1
         )
         np.add.at(self._line_counts, (line_id, sbin), 1)
         np.add.at(self._region_counts, (region_id, sbin), 1)
@@ -732,21 +191,19 @@ class LineStream:
         )
 
 
-def lines_from_folded(
-    lines: FoldedLines, sigma_bins: int = LINE_SIGMA_BINS
-) -> StreamedLines:
+def lines_from_folded(lines: FoldedLines) -> StreamedLines:
     """The resident reference: bin a whole resident line fold into the
     streamed matrices (same σ resolution)."""
-    line_counts = np.zeros((len(lines.line_table), sigma_bins), dtype=np.int64)
+    line_counts = np.zeros((len(lines.line_table), LINE_SIGMA_BINS), dtype=np.int64)
     region_counts = np.zeros(
-        (len(lines.region_table), sigma_bins), dtype=np.int64
+        (len(lines.region_table), LINE_SIGMA_BINS), dtype=np.int64
     )
     if lines.n:
         sbin = np.minimum(
-            (np.asarray(lines.sigma, dtype=np.float64) * sigma_bins).astype(
+            (np.asarray(lines.sigma, dtype=np.float64) * LINE_SIGMA_BINS).astype(
                 np.int64
             ),
-            sigma_bins - 1,
+            LINE_SIGMA_BINS - 1,
         )
         np.add.at(line_counts, (lines.line_id, sbin), 1)
         np.add.at(region_counts, (lines.region_id, sbin), 1)
@@ -774,7 +231,7 @@ class StreamedReport:
     """
 
     performance: object
-    addresses: StreamedAddresses | None
+    addresses: FoldedAddresses | None
     lines: StreamedLines | None
     directions: tuple[str, ...]
 
@@ -818,7 +275,7 @@ class StreamedReport:
             lines.append(
                 f"addresses: {a.n_folded} samples "
                 f"({a.matched_fraction():.1%} matched), "
-                f"reservoir {a.n}/{a.capacity} ({a.weighting}), " + sketch
+                f"reservoir {a.n} points, " + sketch
             )
         if self.lines is not None:
             li = self.lines
@@ -838,44 +295,13 @@ class StreamedReport:
         * ``codeline_density.dat`` — per-line σ-bin counts
         * ``objects.dat`` — registry records plus annotation bands
         """
-        from repro.folding.report import (
-            _fmt_float,
-            _fmt_hex,
-            _fmt_int,
-            _write_columns,
-            export_counters_dat,
-        )
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         written = [export_counters_dat(self.counters, directory)]
 
         if self.addresses is not None:
             a = self.addresses
-            path = directory / "addresses.dat"
-            names = np.array(
-                [rec.name for rec in a.registry.records] + ["-"], dtype=object
-            )
-            if a.n:
-                src_uniq, src_inv = np.unique(a.source, return_inverse=True)
-                src_pretty = np.array(
-                    [DataSource(int(s)).pretty for s in src_uniq], dtype=object
-                )
-                source_col = src_pretty[src_inv].tolist()
-            else:
-                source_col = []
-            _write_columns(
-                path,
-                "# sigma address op source latency object",
-                _fmt_float(a.sigma, 6),
-                _fmt_hex(a.address),
-                _fmt_int(a.op),
-                source_col,
-                _fmt_float(a.latency, 1),
-                names[a.object_index].tolist() if a.n else [],
-            )
-            written.append(path)
-
+            written.append(export_addresses_dat(a, directory))
             sketch = a.sketch
             if sketch is not None:
                 path = directory / "address_density.dat"
@@ -890,22 +316,7 @@ class StreamedReport:
                     )
                 path.write_text("\n".join(rows) + "\n")
                 written.append(path)
-
-            path = directory / "objects.dat"
-            obj_rows = [
-                f"{rec.name} {rec.kind} {rec.start:#x} {rec.end:#x} "
-                f"{rec.bytes_user}"
-                for rec in a.registry.records
-            ]
-            obj_rows += [
-                f"{band.label} band {band.lo:#x} {band.hi:#x} 0"
-                for band in a.bands
-            ]
-            path.write_text(
-                "\n".join(["# name kind start end bytes_user", *obj_rows])
-                + "\n"
-            )
-            written.append(path)
+            written.append(export_objects_dat(a, directory))
 
         if self.lines is not None:
             li = self.lines
@@ -919,77 +330,3 @@ class StreamedReport:
             path.write_text("\n".join(rows) + "\n")
             written.append(path)
         return written
-
-
-# ---------------------------------------------------------------------------
-# Fidelity measurement.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AddressFidelity:
-    """Measured fidelity of a streamed address view against the
-    resident :class:`FoldedAddresses` of the same trace."""
-
-    #: exact streamed matched fraction (accounting side)
-    matched_fraction_streamed: float
-    matched_fraction_resident: float
-    #: |streamed − resident| — zero because the accounting is exact
-    matched_fraction_error: float
-    #: max abs per-band density error of the *sketch* — identically
-    #: zero by construction (integer binning of the same samples)
-    sketch_band_error: float
-    #: max abs per-band density error of the *reservoir* subsample —
-    #: the real (measured) approximation cost of point rendering
-    reservoir_band_error: float
-    #: True iff the streamed accounting digest equals the resident's
-    accounting_exact: bool
-    reservoir_points: int
-    resident_points: int
-
-
-def measure_address_fidelity(
-    streamed: StreamedAddresses, resident: FoldedAddresses
-) -> AddressFidelity:
-    """Measure the streamed address view's fidelity bounds."""
-    sketch = streamed.sketch
-    if sketch is None:
-        raise ValueError(
-            "fidelity measurement needs the density sketch — live views "
-            "(no whole-trace prologue) cannot be measured this way"
-        )
-    resident_sketch = sketch_from_scatter(
-        resident, sketch.lo, sketch.hi, sketch.bands, sketch.sigma_bins
-    )
-    resident_density = resident_sketch.band_density()
-    sketch_err = float(
-        np.abs(sketch.band_density() - resident_density).max()
-    )
-    if streamed.n:
-        span = np.uint64(sketch.hi - sketch.lo + 1)
-        band = (
-            (streamed.address - np.uint64(sketch.lo))
-            * np.uint64(sketch.bands)
-        ) // span
-        band = np.minimum(band.astype(np.int64), sketch.bands - 1)
-        reservoir_density = (
-            np.bincount(band, minlength=sketch.bands) / streamed.n
-        )
-    else:
-        reservoir_density = np.zeros(sketch.bands)
-    reservoir_err = float(np.abs(reservoir_density - resident_density).max())
-    mf_s = streamed.matched_fraction()
-    mf_r = resident.matched_fraction()
-    return AddressFidelity(
-        matched_fraction_streamed=mf_s,
-        matched_fraction_resident=mf_r,
-        matched_fraction_error=abs(mf_s - mf_r),
-        sketch_band_error=sketch_err,
-        reservoir_band_error=reservoir_err,
-        accounting_exact=(
-            streamed.accounting.digest()
-            == AddressAccounting.from_addresses(resident).digest()
-        ),
-        reservoir_points=streamed.n,
-        resident_points=resident.n,
-    )

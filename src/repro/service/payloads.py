@@ -105,11 +105,10 @@ def address_payload(report, max_points: int = 0) -> dict:
     bounded body.
     """
     a = report.addresses
-    registry = report.registry
+    acc = a.accounting
     objects = []
-    for i, rec in enumerate(registry.records):
-        mask = a.object_index == i
-        n = int(mask.sum())
+    for i, rec in enumerate(a.registry.records):
+        n = int(acc.object_counts[i])
         objects.append(
             {
                 "name": rec.name,
@@ -119,9 +118,9 @@ def address_payload(report, max_points: int = 0) -> dict:
                 "bytes_user": int(rec.bytes_user),
                 "n_samples": n,
                 "mean_latency": (
-                    float(a.latency[mask].mean()) if n else 0.0
+                    float(acc.object_latency[i] / n) if n else 0.0
                 ),
-                "n_stores": int((a.op[mask] == 1).sum()) if n else 0,
+                "n_stores": int(acc.object_stores[i]),
             }
         )
     payload = {

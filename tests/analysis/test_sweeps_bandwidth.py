@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.bandwidth import phase_bandwidth_MBps
 from repro.analysis.phases import Phase, segment_iteration
 from repro.analysis.sweeps import Sweep, detect_sweeps
-from repro.folding.address import FoldedAddresses
+from repro.folding.address import AddressStream
 from repro.objects.registry import DataObjectRegistry
 from repro.workloads.hpcg.problem import MATRIX_GROUP_NAME
 
@@ -21,15 +21,15 @@ def synthetic_addresses(n=4000, seed=0):
         (sigma / 0.5) * 1e6,
         (1.0 - (sigma - 0.5) / 0.5) * 1e6,
     ).astype(np.uint64)
-    return FoldedAddresses(
-        sigma=sigma,
-        address=addr,
-        op=np.zeros(n, dtype=np.int64),
-        source=np.full(n, 5, dtype=np.int64),
-        latency=np.full(n, 200.0),
-        object_index=np.zeros(n, dtype=np.int64),
-        registry=DataObjectRegistry(),
+    stream = AddressStream(DataObjectRegistry(), None, capacity=None)
+    stream.add(
+        sigma,
+        addr,
+        np.zeros(n, dtype=np.int64),
+        np.full(n, 5, dtype=np.int64),
+        np.full(n, 200.0),
     )
+    return stream.result()
 
 
 class TestDetectSweeps:

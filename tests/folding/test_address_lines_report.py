@@ -28,6 +28,17 @@ class TestFoldedAddresses:
     def test_high_match_rate(self, addresses):
         assert addresses.matched_fraction() > 0.99
 
+    def test_resident_view_holds_every_sample(self, folded, addresses):
+        """The resident view is the address accumulator fed the kept
+        table as one chunk with no point bound: every sample, in order,
+        the address column shared with the table."""
+        assert addresses.n == addresses.n_folded == folded.n
+        assert addresses.sketch is None
+        assert addresses.kept_index is None  # point i is kept sample i
+        assert np.shares_memory(addresses.address, folded.table.address)
+        acc = addresses.accounting
+        assert acc.object_stores.sum() == int(addresses.stores.sum())
+
     def test_loads_and_stores_present(self, addresses):
         assert addresses.loads.any()
         assert addresses.stores.any()
@@ -100,35 +111,55 @@ class TestFoldedLines:
         assert isinstance(fn, str) and isinstance(line, int)
 
 
-class TestFoldedReport:
-    def test_fold_trace_assembles_everything(self, hpcg_report):
-        assert hpcg_report.samples.n > 0
-        assert hpcg_report.counters["instructions"].rate.size == 201
-        assert hpcg_report.addresses.n == hpcg_report.samples.n
-        assert hpcg_report.lines.n == hpcg_report.samples.n
+def _loop_region_sequence(ids, weights, table, min_run):
+    """The per-element run-collapse loop ``region_runs`` replaced."""
+    out, run_id, run_len = [], None, 0
 
-    def test_summary_text(self, hpcg_report):
-        text = hpcg_report.summary()
-        assert "instances" in text
-        assert "hpcg" in text
+    def close():
+        if run_id is not None and run_len >= min_run:
+            name = table[int(run_id)]
+            if not out or out[-1] != name:
+                out.append(name)
 
-    def test_export_gnuplot(self, hpcg_report, tmp_path):
-        written = hpcg_report.export_gnuplot(tmp_path)
-        names = {p.name for p in written}
-        assert names == {"codeline.dat", "addresses.dat", "counters.dat", "objects.dat"}
-        counters = (tmp_path / "counters.dat").read_text().splitlines()
-        assert counters[0].startswith("# sigma mips ipc")
-        assert len(counters) == 202
-        addresses = (tmp_path / "addresses.dat").read_text().splitlines()
-        assert len(addresses) == hpcg_report.addresses.n + 1
-        assert MATRIX_GROUP_NAME in (tmp_path / "objects.dat").read_text()
+    for i, w in zip(ids, weights):
+        if i == run_id:
+            run_len += int(w)
+        else:
+            close()
+            run_id, run_len = i, int(w)
+    close()
+    return out
 
-    def test_explicit_instances(self, hpcg_trace):
-        from repro.folding.detect import instances_from_regions
 
-        report = fold_trace(
-            hpcg_trace, instances=instances_from_regions(hpcg_trace, "ComputeSPMV_ref")
+class TestRegionSequence:
+    """Both line products collapse runs with one helper, and it gives
+    the sequence the per-sample loop gave."""
+
+    @pytest.fixture(scope="class")
+    def streamed_lines(self, hpcg_trace):
+        from repro.folding.stream import stream_fold_trace
+
+        return stream_fold_trace(
+            hpcg_trace, chunk_rows=997, directions=("lines",)
+        ).lines
+
+    @pytest.mark.parametrize("min_run", [1, 5, 10])
+    def test_resident_matches_loop(self, hpcg_trace, folded, min_run):
+        lines = fold_lines(folded, hpcg_trace)
+        ids = lines.region_id[np.argsort(lines.sigma, kind="stable")]
+        want = _loop_region_sequence(
+            ids, np.ones(ids.size), lines.region_table, min_run
         )
-        # SPMV-only fold: no SYMGS code lines inside.
-        files = {file for _, file, _ in report.lines.line_table}
-        assert "ComputeSYMGS_ref.cpp" not in files
+        assert lines.region_sequence(min_run) == want
+        assert want
+
+    @pytest.mark.parametrize("min_run", [1, 5, 10])
+    def test_streamed_matches_loop(self, streamed_lines, min_run):
+        counts = streamed_lines.region_counts
+        occupied = np.flatnonzero(counts.sum(axis=0) > 0)
+        dom = np.argmax(counts[:, occupied], axis=0)
+        want = _loop_region_sequence(
+            dom, counts[dom, occupied], streamed_lines.region_table, min_run
+        )
+        assert streamed_lines.region_sequence(min_run) == want
+        assert want

@@ -42,16 +42,11 @@ class TestAddressPanel:
         assert all(len(line) <= 60 for line in body)
 
     def test_empty_report(self, hpcg_report):
-        import numpy as np
-        from repro.folding.address import FoldedAddresses
+        from repro.folding.address import AddressStream
         from repro.objects.registry import DataObjectRegistry
 
-        empty = FoldedAddresses(
-            sigma=np.empty(0), address=np.empty(0, dtype=np.uint64),
-            op=np.empty(0, dtype=np.int64), source=np.empty(0, dtype=np.int64),
-            latency=np.empty(0), object_index=np.empty(0, dtype=np.int64),
-            registry=DataObjectRegistry(),
-        )
+        empty = AddressStream(DataObjectRegistry(), None, capacity=None).result()
+        assert empty.n == 0
 
         class Stub:
             addresses = empty

@@ -1,13 +1,15 @@
 """Streamed address & line directions: exactness, invariance, wiring.
 
 The acceptance properties of the three-direction streamed report
-(:mod:`repro.folding.stream_views`):
+(:mod:`repro.folding.address`, :mod:`repro.folding.stream_views`):
 
 * the exact parts — per-object/source/op accounting and the line/region
   count matrices — are digest-identical to the resident fold;
 * the bounded parts — reservoir and density sketch — are
   chunk-size-invariant by construction, and their fidelity against the
   resident scatter is measured, not assumed;
+* the resident address view is the same accumulator with no point
+  bound;
 * the wiring works end to end: ``stream_fold_trace(directions=...)``,
   the CLI ``--stream --directions``, cache ``kind``
   separation, ASCII rendering, and :class:`LiveFold` hooked onto a
@@ -19,21 +21,21 @@ import pytest
 
 from repro.cli import main_fold
 from repro.extrae.tracer import TracerConfig
+from repro.folding.address import (
+    AddressReservoir,
+    AddressStream,
+    DensitySketch,
+    measure_address_fidelity,
+)
 from repro.folding.ascii_plot import render_address_panel, render_figure
 from repro.folding.cache import FoldCache
+from repro.folding.detect import instances_from_iterations
+from repro.folding.fold import build_prologue, project
 from repro.folding.lines import FoldedLines, fold_lines, leaf_and_region
 from repro.folding.model import PerformanceFold
 from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.stream import LiveFold, stream_fold_trace
-from repro.folding.stream_views import (
-    AddressAccounting,
-    AddressReservoir,
-    DensitySketch,
-    StreamedReport,
-    lines_from_folded,
-    measure_address_fidelity,
-    sketch_from_scatter,
-)
+from repro.folding.stream_views import StreamedReport, lines_from_folded
 from repro.objects.registry import DataObjectRegistry
 from repro.pipeline import SessionConfig, run_workload, streamfold_trace
 from repro.workloads import HpcgWorkload
@@ -71,11 +73,31 @@ def streamed(trace):
     return report
 
 
+def address_stream(trace, capacity, chunk_rows):
+    """Drive the address accumulator at *capacity* over *trace*'s kept
+    samples in chunks of *chunk_rows*, as the streamed fold does."""
+    instances = instances_from_iterations(trace).prune_outliers(0.5)
+    prologue = build_prologue(
+        trace.iter_sample_chunks(("time_ns", "address"), chunk_rows),
+        instances,
+        (),
+        track_address=True,
+    )
+    stream = AddressStream(
+        DataObjectRegistry(trace.objects), prologue.addr_range, capacity=capacity
+    )
+    columns = ("address", "op", "source", "latency")
+    for chunk in trace.iter_sample_chunks(("time_ns", *columns), chunk_rows):
+        proj = project(chunk, instances)
+        stream.add(proj.sigma, *(np.asarray(chunk[c])[proj.inside] for c in columns))
+    return stream.result()
+
+
 def assert_directions_match_resident(report, resident):
     """The exact streamed products equal the resident fold's."""
     assert (
         report.addresses.accounting.digest()
-        == AddressAccounting.from_addresses(resident.addresses).digest()
+        == resident.addresses.accounting.digest()
     )
     assert report.lines.digest() == lines_from_folded(resident.lines).digest()
     fidelity = measure_address_fidelity(report.addresses, resident.addresses)
@@ -93,7 +115,7 @@ class TestStreamedEqualsResident:
 
     def test_accounting_exact(self, streamed, resident):
         acc = streamed.addresses.accounting
-        ref = AddressAccounting.from_addresses(resident.addresses)
+        ref = resident.addresses.accounting
         assert acc.digest() == ref.digest()
         assert acc.n == resident.addresses.n
         np.testing.assert_array_equal(acc.object_counts, ref.object_counts)
@@ -106,10 +128,10 @@ class TestStreamedEqualsResident:
 
     def test_sketch_equals_binned_resident(self, streamed, resident):
         sketch = streamed.addresses.sketch
-        ref = sketch_from_scatter(
-            resident.addresses, sketch.lo, sketch.hi,
-            sketch.bands, sketch.sigma_bins,
+        ref = DensitySketch.empty(
+            sketch.lo, sketch.hi, sketch.bands, sketch.sigma_bins
         )
+        ref.add(resident.addresses.sigma, resident.addresses.address)
         assert sketch.digest() == ref.digest()
         assert sketch.n == resident.addresses.n
 
@@ -160,28 +182,15 @@ class TestChunkInvariance:
             )
             assert other.digest() == streamed.digest()
 
-    @pytest.mark.parametrize("weighting", ["uniform", "latency"])
-    def test_small_reservoir_invariant(self, trace, weighting):
-        reports = [
-            stream_fold_trace(
-                trace,
-                chunk_rows=chunk_rows,
-                directions=DIRECTIONS,
-                reservoir_capacity=64,
-                reservoir_seed=7,
-                reservoir_weighting=weighting,
-            )
-            for chunk_rows in (13, 997)
-        ]
-        assert reports[0].digest() == reports[1].digest()
-        assert reports[0].addresses.n == 64
+    def test_small_reservoir_invariant(self, trace):
+        views = [address_stream(trace, 64, rows) for rows in (13, 997, 1 << 20)]
+        assert {a.digest() for a in views} == {views[0].digest()}
+        assert views[0].n == 64
 
     def test_small_reservoir_subsamples_resident(self, trace, resident):
         """Every surviving point is the resident point at its global
         kept index — the reservoir never fabricates samples."""
-        a = stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, reservoir_capacity=128
-        ).addresses
+        a = address_stream(trace, 128, 333)
         r = resident.addresses
         assert a.n == 128
         assert a.n_folded == r.n
@@ -190,19 +199,6 @@ class TestChunkInvariance:
             a.address, np.asarray(r.address, np.uint64)[a.kept_index]
         )
         np.testing.assert_array_equal(a.latency, r.latency[a.kept_index])
-
-    def test_seed_changes_selection(self, trace):
-        picks = [
-            stream_fold_trace(
-                trace,
-                chunk_rows=333,
-                directions=DIRECTIONS,
-                reservoir_capacity=64,
-                reservoir_seed=seed,
-            ).addresses.kept_index
-            for seed in (0, 1)
-        ]
-        assert not np.array_equal(picks[0], picks[1])
 
     def test_from_saved_container(self, trace, streamed, tmp_path):
         path = tmp_path / "t.bsctrace"
@@ -225,6 +221,14 @@ class TestStreamedLinesSemantics:
             resident.lines.region_sequence()
         )
 
+    def test_zero_width_window_raises(self, streamed, resident):
+        """Zero-width and reversed windows hold no samples: both
+        products raise."""
+        for lines in (streamed.lines, resident.lines):
+            for lo, hi in ((0.5, 0.5), (0.6, 0.4)):
+                with pytest.raises(ValueError):
+                    lines.dominant_region(lo, hi)
+
     def test_empty_window_raises(self, streamed):
         empty = streamed.lines.region_counts.sum(axis=0) == 0
         if not empty.any():
@@ -240,10 +244,6 @@ class TestBoundedSummaryUnits:
         with pytest.raises(ValueError):
             AddressReservoir(capacity=0)
 
-    def test_reservoir_rejects_bad_weighting(self):
-        with pytest.raises(ValueError):
-            AddressReservoir(weighting="bogus")
-
     def test_sketch_rejects_empty_span(self):
         with pytest.raises(ValueError):
             DensitySketch.empty(10, 9)
@@ -258,9 +258,7 @@ class TestBoundedSummaryUnits:
     def test_measured_reservoir_error_small(self, trace, resident):
         """A genuinely subsampling reservoir: the measured band error
         is small but non-zero — the bound is real, not vacuous."""
-        a = stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, reservoir_capacity=256
-        ).addresses
+        a = address_stream(trace, 256, 333)
         fidelity = measure_address_fidelity(a, resident.addresses)
         assert fidelity.sketch_band_error == 0.0
         assert 0.0 < fidelity.reservoir_band_error < 0.1
@@ -325,15 +323,6 @@ class TestApiWiring:
         with pytest.raises(ValueError):
             stream_fold_trace(trace, directions=("bogus",))
 
-    def test_explicit_registry_accepted(self, trace, streamed):
-        report = stream_fold_trace(
-            trace,
-            chunk_rows=333,
-            directions=DIRECTIONS,
-            registry=DataObjectRegistry(trace.objects),
-        )
-        assert report.digest() == streamed.digest()
-
     def test_export_gnuplot(self, streamed, resident, tmp_path):
         written = streamed.export_gnuplot(tmp_path)
         names = {p.name for p in written}
@@ -373,21 +362,6 @@ class TestCacheKindSeparation:
         again = stream_fold_trace(trace, directions=DIRECTIONS, cache=cache)
         assert isinstance(again, StreamedReport)
         assert again.digest() == first.digest()
-
-    def test_explicit_registry_bypasses_cache(self, trace, tmp_path):
-        cache = FoldCache(directory=tmp_path)
-        stream_fold_trace(
-            trace, chunk_rows=333, directions=DIRECTIONS, cache=cache
-        )
-        before = cache.stats().n_entries
-        stream_fold_trace(
-            trace,
-            chunk_rows=333,
-            directions=DIRECTIONS,
-            registry=DataObjectRegistry(trace.objects),
-            cache=cache,
-        )
-        assert cache.stats().n_entries == before
 
     def test_annotations_do_not_bleed_into_cache(self, trace, tmp_path):
         cache = FoldCache(directory=tmp_path)
