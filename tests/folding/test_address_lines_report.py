@@ -163,3 +163,37 @@ class TestRegionSequence:
         )
         assert streamed_lines.region_sequence(min_run) == want
         assert want
+
+
+class TestFoldedReport:
+    def test_fold_trace_assembles_everything(self, hpcg_report):
+        assert hpcg_report.samples.n > 0
+        assert hpcg_report.counters["instructions"].rate.size == 201
+        assert hpcg_report.addresses.n == hpcg_report.samples.n
+        assert hpcg_report.lines.n == hpcg_report.samples.n
+
+    def test_summary_text(self, hpcg_report):
+        text = hpcg_report.summary()
+        assert "instances" in text
+        assert "hpcg" in text
+
+    def test_export_gnuplot(self, hpcg_report, tmp_path):
+        written = hpcg_report.export_gnuplot(tmp_path)
+        names = {p.name for p in written}
+        assert names == {"codeline.dat", "addresses.dat", "counters.dat", "objects.dat"}
+        counters = (tmp_path / "counters.dat").read_text().splitlines()
+        assert counters[0].startswith("# sigma mips ipc")
+        assert len(counters) == 202
+        addresses = (tmp_path / "addresses.dat").read_text().splitlines()
+        assert len(addresses) == hpcg_report.addresses.n + 1
+        assert MATRIX_GROUP_NAME in (tmp_path / "objects.dat").read_text()
+
+    def test_explicit_instances(self, hpcg_trace):
+        from repro.folding.detect import instances_from_regions
+
+        report = fold_trace(
+            hpcg_trace, instances=instances_from_regions(hpcg_trace, "ComputeSPMV_ref")
+        )
+        # SPMV-only fold: no SYMGS code lines inside.
+        files = {file for _, file, _ in report.lines.line_table}
+        assert "ComputeSYMGS_ref.cpp" not in files
