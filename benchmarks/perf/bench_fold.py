@@ -34,6 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from timing import best_of
+
 from repro.extrae.tracer import TracerConfig
 from repro.folding.cache import FoldCache
 from repro.folding.plan import FoldPlan
@@ -64,17 +66,8 @@ def make_trace():
     )
 
 
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def bench_cold(trace, repeats: int) -> float:
-    return best_of(repeats, lambda: fold_trace(trace))
+    return best_of(repeats, lambda: fold_trace(trace))[0]
 
 
 def bench_plan_reuse(trace, repeats: int, cold_fold: float) -> dict:
@@ -90,8 +83,8 @@ def bench_plan_reuse(trace, repeats: int, cold_fold: float) -> dict:
         for bw in BANDWIDTHS:
             fold_trace(trace, bandwidth=bw)
 
-    warm = best_of(repeats, warm_sweep)
-    cold = best_of(max(1, repeats - 1), cold_sweep)
+    warm, _ = best_of(repeats, warm_sweep)
+    cold, _ = best_of(max(1, repeats - 1), cold_sweep)
     return {
         "sweep_points": len(BANDWIDTHS),
         "plan_build_seconds": round(plan_build, 4),
@@ -111,9 +104,9 @@ def bench_cache(trace, repeats: int, cold_fold: float) -> dict:
         t0 = time.perf_counter()
         fold_trace(trace, cache=cache)
         store = time.perf_counter() - t0
-        memo = best_of(repeats, lambda: fold_trace(trace, cache=cache))
+        memo, _ = best_of(repeats, lambda: fold_trace(trace, cache=cache))
         # A fresh FoldCache per call = empty memo = true disk hits.
-        disk = best_of(
+        disk, _ = best_of(
             repeats,
             lambda: fold_trace(trace, cache=FoldCache(directory=tmp)),
         )
@@ -166,8 +159,8 @@ def bench_export(report, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         col_dir, row_dir = Path(tmp) / "col", Path(tmp) / "row"
         row_dir.mkdir()
-        columnwise = best_of(repeats, lambda: report.export_gnuplot(col_dir))
-        rowwise = best_of(repeats, lambda: _export_rowwise(report, row_dir))
+        columnwise, _ = best_of(repeats, lambda: report.export_gnuplot(col_dir))
+        rowwise, _ = best_of(repeats, lambda: _export_rowwise(report, row_dir))
         identical = all(
             (col_dir / name).read_text() == (row_dir / name).read_text()
             for name in ("codeline.dat", "addresses.dat", "counters.dat")

@@ -30,11 +30,13 @@ exit-status tripwires for CI; the digest check is always enforced.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+from timing import best_of
 
 from repro.extrae.tracer import TracerConfig
 from repro.folding.extrapolate import measure_fidelity
@@ -64,16 +66,6 @@ def make_trace(nx: int, nlevels: int, iterations: int, period: int):
                                 randomization=0.05),
         ),
     )
-
-
-def best_of(repeats: int, fn):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": f"HPCG nx={args.nx} nlevels={args.nlevels} "
                     f"{args.iterations} iterations, sampling period "
                     f"{args.period} -> {trace.n_samples} memory samples",
+        "cpu_count": os.cpu_count(),
         "n_samples": trace.n_samples,
         "n_instances": n,
         "budget": args.budget,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -212,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "workload": f"2x STREAM n={args.stream_n}, {args.iterations} "
                     f"iterations, period {args.period}",
+        "cpu_count": os.cpu_count(),
         "n_samples": {
             d[:12]: ref["n_samples"] for d, ref in reference.items()
         },

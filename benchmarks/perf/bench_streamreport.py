@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import tempfile
 import time
@@ -82,7 +83,7 @@ def make_trace_file(tmp: Path, stream_n: int, iterations: int, period: int):
         ),
     )
     path = tmp / "streamreport.bsctrace"
-    trace.save(path, version=2, compression="none")
+    trace.save(path, compression="none")
     n = trace.n_samples
     del trace
     gc.collect()
@@ -201,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": f"STREAM n={args.stream_n}, {args.iterations} iterations, "
                     f"sampling period {args.period} -> "
                     f"{n_samples} memory samples",
+        "cpu_count": os.cpu_count(),
         "n_samples": n_samples,
         "file_bytes": file_bytes,
         "generate_seconds": round(generate_s, 3),

@@ -30,17 +30,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
-import time
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from memprof import memory_probe
+from timing import best_of
 
 from repro.extrae.index import TraceIndex
+from repro.extrae.storage import SIDECAR_MEMBER
 from repro.extrae.trace import _SAMPLE_COLUMNS, SampleTable, Trace
 from repro.extrae.tracer import TracerConfig
 from repro.extrae.events import EventKind
@@ -66,15 +69,6 @@ def make_trace():
             tracer=TracerConfig(load_period=PERIOD, store_period=PERIOD),
         ),
     )
-
-
-def best_of(repeats, fn):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 # --- the seed implementation, verbatim ---------------------------------------
@@ -239,6 +233,17 @@ def legacy_sample_table(self):
     return self._table
 
 
+def legacy_save_v1(trace, path):
+    """The v1 container writer: npz columns in a deflated zip."""
+    path = Path(path)
+    table = trace.sample_table()
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        with zf.open("samples.npz", "w") as f:
+            np.savez(f, **table.columns())
+        zf.writestr(SIDECAR_MEMBER, json.dumps(trace._sidecar(schema=1)))
+    return path
+
+
 @contextmanager
 def seed_implementation():
     """Swap in the seed acquisition path (machine, PEBS and trace)."""
@@ -268,13 +273,13 @@ def bench_end_to_end(repeats, tmp):
 
     def fast_run():
         trace = make_trace()
-        trace.save(fast_path, version=2, compression="none")
+        trace.save(fast_path, compression="none")
         return trace
 
     def legacy_run():
         with seed_implementation():
             trace = make_trace()
-            trace.save(legacy_path, version=1)
+            legacy_save_v1(trace, legacy_path)
         return trace
 
     fast_s, fast_trace = best_of(repeats, fast_run)
@@ -292,12 +297,12 @@ def bench_end_to_end(repeats, tmp):
 def bench_save(trace, repeats, tmp):
     out = {}
     p = Path(tmp)
-    v1_s, _ = best_of(repeats, lambda: trace.save(p / "s1.bsctrace", version=1))
+    v1_s, _ = best_of(repeats, lambda: legacy_save_v1(trace, p / "s1.bsctrace"))
     out["v1_npz_seconds"] = round(v1_s, 3)
     for comp in ("none", "deflate"):
         s, path = best_of(
             repeats,
-            lambda c=comp: trace.save(p / f"s2_{c}.bsctrace", version=2, compression=c),
+            lambda c=comp: trace.save(p / f"s2_{c}.bsctrace", compression=c),
         )
         out[f"v2_{comp}_seconds"] = round(s, 3)
         out[f"v2_{comp}_bytes"] = path.stat().st_size
@@ -308,8 +313,8 @@ def bench_save(trace, repeats, tmp):
 
 def bench_load_query(trace, repeats, tmp):
     p = Path(tmp)
-    v1 = trace.save(p / "l1.bsctrace", version=1)
-    v2 = trace.save(p / "l2.bsctrace", version=2, compression="none")
+    v1 = legacy_save_v1(trace, p / "l1.bsctrace")
+    v2 = trace.save(p / "l2.bsctrace", compression="none")
     t_mid = trace.duration_ns() / 2
 
     def query(path):
@@ -426,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
             "workload": f"STREAM n={STREAM_N}, {ITERATIONS} iterations, "
                         f"sampling period {PERIOD} -> "
                         f"{trace.n_samples} memory samples",
+            "cpu_count": os.cpu_count(),
             "end_to_end": e2e,
             "save": bench_save(trace, args.repeats, tmp),
             "load_query": bench_load_query(trace, args.repeats, tmp),

@@ -23,11 +23,8 @@ This module adds what the single-task view cannot show — how the other
 from __future__ import annotations
 
 import logging
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -163,31 +160,28 @@ def compute_rank_stats(trace: Trace) -> RankStats:
 # -- the pooled per-rank fold map ------------------------------------------
 
 
-def _fold_one(
-    rank: int,
-    path: str | None,
-    trace: Trace | None,
-    grid_points: int,
-    bandwidth: float,
-    prune_tolerance: float | None,
-    align_regions: tuple[str, ...] | None,
-    cache_dir: str | None,
-    rep_budget: int | None = None,
-    rep_seed: int = 0,
-) -> RankFold:
+def _fold_one(params: tuple, result: RankResult) -> RankFold:
     """Fold one rank (top-level for picklability).
 
-    Pool workers receive only *path* and load the spilled trace
-    themselves (zero-copy memmap); the serial path passes the live
-    trace.  Either way the fold goes through
-    :func:`~repro.folding.report.fold_trace` — the PR-3 FoldPlan
-    machinery, with the content-addressed cache when *cache_dir* is
-    given.  With *rep_budget* the rank folds only that many
+    *params* is ``(grid_points, bandwidth, prune_tolerance,
+    align_regions, cache_dir, rep_budget, rep_seed)``, shared by every
+    rank.  A spilled result that is not yet loaded is read from its
+    spill file (a zero-copy memmap) without caching the trace on the
+    result, so folding every rank holds one sample table at a time; an
+    in-memory result folds its attached trace.  Either way the fold goes
+    through :func:`~repro.folding.report.fold_trace` — the FoldPlan
+    machinery, with the content-addressed cache when ``cache_dir`` is
+    given.  With ``rep_budget`` the rank folds only that many
     representative instances (the extrapolated path); the compact
     :class:`RankFold` shape is identical either way.
     """
-    if trace is None:
-        trace = Trace.load(path)
+    (grid_points, bandwidth, prune_tolerance, align_regions, cache_dir,
+     rep_budget, rep_seed) = params
+    trace = (
+        result.trace
+        if result.trace_loaded or result.summary.path is None
+        else Trace.load(result.summary.path)
+    )
     cache = None
     if cache_dir is not None:
         from repro.folding.cache import FoldCache
@@ -204,7 +198,7 @@ def _fold_one(
         rep_seed=rep_seed,
     )
     return RankFold(
-        rank=rank,
+        rank=result.rank,
         seed=int(trace.metadata.get("seed", 0)),
         digest=trace.digest(),
         n_instances=report.instances.n,
@@ -244,49 +238,25 @@ def fold_ranks(
     per-rank fold cost scales with the budget instead of the instance
     count, which multiplies across the whole rank set.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
+    from repro.parallel.pool import pool_map, worker_count
+
     results = list(results)
-    if not results:
-        return []
     cache_dir = str(cache.directory) if cache is not None else None
     params = (grid_points, bandwidth, prune_tolerance, align_regions,
               cache_dir, rep_budget, rep_seed)
-    workers = (
-        min(max_workers, len(results))
-        if max_workers is not None
-        else min(len(results), os.cpu_count() or 1)
-    )
-    spilled = all(
-        r.summary.path is not None and not r.trace_loaded for r in results
-    )
-    if workers > 1 and len(results) > 1 and spilled:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _fold_one, r.summary.rank, r.summary.path, None,
-                        *params,
-                    )
-                    for r in results
-                ]
-                return [f.result() for f in futures]
-        except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-            logger.info(
-                "fold_ranks fallback: process pool unavailable (%s: %s)",
-                type(exc).__name__, exc,
-            )
-    folds = []
-    for r in results:
-        # Don't cache the trace on the result: folding all ranks
-        # serially must still hold only one sample table at a time.
-        trace = (
-            r.trace
-            if (r.trace_loaded or r.summary.path is None)
-            else Trace.load(r.summary.path)
+    workers = worker_count(max_workers, len(results))
+    if not all(r.summary.path is not None and not r.trace_loaded
+               for r in results):
+        workers = 1  # loaded traces would be pickled to the workers
+    return list(
+        pool_map(
+            _fold_one,
+            params,
+            results,
+            workers,
+            partial(logger.info, "fold_ranks fallback: %s"),
         )
-        folds.append(_fold_one(r.summary.rank, None, trace, *params))
-    return folds
+    )
 
 
 # -- the cluster report -----------------------------------------------------

@@ -22,12 +22,12 @@ otherwise.  Both paths are bit-identical to the historical global
 and repeated ``digest()`` calls never force a rebuild.
 
 Serialization is schema-versioned via the ``"schema"`` field of the
-JSON sidecar.  :meth:`Trace.save` writes the **v2 container** by
-default — raw little-endian column members with selectable compression
-(``"none"``/``"deflate"``, see :mod:`repro.extrae.storage`) — and still
-writes the legacy npz-based **v1 container** on request.
-:meth:`Trace.load` reads both: v1 eagerly, v2 lazily (columns
-materialize on first touch, memory-mapped when uncompressed).
+JSON sidecar.  :meth:`Trace.save` writes the **v2 container** — raw
+little-endian column members with selectable compression
+(``"none"``/``"deflate"``, see :mod:`repro.extrae.storage`).
+:meth:`Trace.load` reads it lazily (columns materialize on first touch,
+memory-mapped when uncompressed) and still reads the legacy npz-based
+**v1 container**, eagerly.
 Version-less legacy files load as v1 with a warning; unknown versions
 raise :class:`TraceSchemaError`.  No pickling on disk, so traces are
 safe to exchange.
@@ -66,8 +66,8 @@ __all__ = [
     "TRACE_SCHEMA_VERSIONS",
 ]
 
-#: Version of the on-disk trace layout this build *writes* by default
-#: (the ``"schema"`` field of the JSON sidecar).
+#: Version of the on-disk trace layout this build writes (the
+#: ``"schema"`` field of the JSON sidecar).
 TRACE_SCHEMA_VERSION = 2
 
 #: Versions :meth:`Trace.load` accepts.
@@ -413,9 +413,9 @@ class Trace:
         Hashes the consolidated sample columns plus the JSON sidecar
         parts (metadata, events, objects, intern tables) — exactly the
         information :meth:`save` persists, so a save/load round-trip
-        keeps the digest.  The v1-shaped sidecar is hashed regardless
-        of which container version the trace is saved to, keeping the
-        digest a property of the *content*, not the encoding.  Two
+        keeps the digest.  The sidecar is hashed in its v1 shape
+        whatever container the trace was read from, keeping the digest
+        a property of the *content*, not the encoding.  Two
         traces with equal digests fold identically; the report cache
         (:class:`repro.folding.cache.FoldCache`) uses this as its
         content address.  Cached until the next mutating ``add_*``.
@@ -614,47 +614,27 @@ class Trace:
             ],
         }
 
-    def save(
-        self,
-        path: str | Path,
-        *,
-        version: int = TRACE_SCHEMA_VERSION,
-        compression: str = "none",
-    ) -> Path:
+    def save(self, path: str | Path, *, compression: str = "none") -> Path:
         """Write the trace as ``<path>`` (a single-file zip container).
 
-        ``version=2`` (the default) writes raw per-column binary
-        members with the selected *compression* (``"none"`` streams
+        Always the current (v2) container: raw per-column binary members
+        with the selected *compression* (``"none"`` streams
         ``ZIP_STORED`` columns that load back as zero-copy memory maps;
-        ``"deflate"`` trades save/load speed for size).  ``version=1``
-        writes the legacy npz-in-deflated-zip container, byte-layout
-        identical to what earlier builds produced; *compression* does
-        not apply to it.
+        ``"deflate"`` trades save/load speed for size).  v1 files are
+        still read by :meth:`load`, never written.
         """
         path = Path(path)
-        if version not in TRACE_SCHEMA_VERSIONS:
-            raise ValueError(
-                f"unknown trace schema version {version!r} "
-                f"(this build writes versions {TRACE_SCHEMA_VERSIONS})"
-            )
         if compression not in TRACE_COMPRESSIONS:
             raise ValueError(
                 f"compression must be one of {TRACE_COMPRESSIONS}, "
                 f"got {compression!r}"
             )
-        table = self.sample_table()
-        if version == 1:
-            with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-                with zf.open("samples.npz", "w") as f:
-                    np.savez(f, **table.columns())
-                zf.writestr(SIDECAR_MEMBER, json.dumps(self._sidecar(schema=1)))
-            return path
         zip_compression = (
             zipfile.ZIP_DEFLATED if compression == "deflate" else zipfile.ZIP_STORED
         )
         with zipfile.ZipFile(path, "w", zip_compression) as zf:
-            manifest = write_columns(zf, table.columns(), compression)
-            sidecar = self._sidecar(schema=2)
+            manifest = write_columns(zf, self.sample_table().columns(), compression)
+            sidecar = self._sidecar()
             sidecar["columns"] = manifest
             sidecar["compression"] = compression
             zf.writestr(SIDECAR_MEMBER, json.dumps(sidecar))

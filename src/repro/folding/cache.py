@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.extrae.trace import Trace
 
-__all__ = ["FOLD_CACHE_VERSION", "FoldCache"]
+__all__ = ["FOLD_CACHE_VERSION", "FoldCache", "fold_key_params"]
 
 #: Version of the folded-report pipeline baked into every cache key.
 #: Bump when folding output changes (new fit, changed clamps, new
@@ -315,6 +315,44 @@ class FoldCache:
             path.unlink(missing_ok=True)
         self._sweep_stale_tmp(min_age_s=0.0)
         return len(entries)
+
+
+def fold_key_params(
+    grid_points: int,
+    bandwidth: float,
+    prune_tolerance: float | None = 0.5,
+    align_regions: tuple[str, ...] | None = None,
+    rep_budget: int | None = None,
+    rep_seed: int = 0,
+) -> dict:
+    """The ``kind`` and key parameters of an exact or extrapolated fold.
+
+    The one place these keys are built: the resident
+    :func:`~repro.folding.report.fold_trace`, the counters-only
+    :func:`~repro.folding.stream.stream_fold_trace` and the analysis
+    service's warm-path lookup all pass the result to
+    :meth:`FoldCache.key` / :meth:`FoldCache.key_digest`, so a fold
+    stored by one is found by the others.  The defaults are
+    ``fold_trace``'s.  With *rep_budget* the key is the extrapolated
+    fold's (representative folds use the linear projection, so
+    *align_regions* does not apply).
+    """
+    if rep_budget is not None:
+        return {
+            "kind": "extrapolated",
+            "grid_points": grid_points,
+            "bandwidth": bandwidth,
+            "prune_tolerance": prune_tolerance,
+            "rep_budget": rep_budget,
+            "rep_seed": rep_seed,
+        }
+    return {
+        "kind": "report",
+        "grid_points": grid_points,
+        "bandwidth": bandwidth,
+        "prune_tolerance": prune_tolerance,
+        "align_regions": align_regions,
+    }
 
 
 def _canonical(value):

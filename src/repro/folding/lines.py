@@ -22,7 +22,6 @@ __all__ = [
     "LineTableBuilder",
     "fold_lines",
     "leaf_and_region",
-    "region_runs",
 ]
 
 
@@ -122,22 +121,6 @@ class LineTableBuilder:
         return line_vals[pos], region_vals[pos]
 
 
-def region_runs(
-    ids: np.ndarray, weights: np.ndarray, table: list[str], min_run: int
-) -> list[str]:
-    """Names of the runs of equal consecutive *ids* whose summed
-    *weights* reach *min_run*, consecutive duplicates collapsed."""
-    ids = np.asarray(ids)
-    if not ids.size:
-        return []
-    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
-    lengths = np.add.reduceat(np.asarray(weights, dtype=np.int64), starts)
-    kept = ids[starts][lengths >= min_run]
-    if kept.size:
-        kept = kept[np.concatenate([[True], kept[1:] != kept[:-1]])]
-    return [table[int(i)] for i in kept]
-
-
 @dataclass
 class FoldedLines:
     """Folded (σ, source line) points.
@@ -173,7 +156,14 @@ class FoldedLines:
         """Regions in σ order, runs shorter than *min_run* samples
         dropped, consecutive duplicates collapsed."""
         ids = self.region_id[np.argsort(self.sigma, kind="stable")]
-        return region_runs(ids, np.ones(ids.size, np.int64), self.region_table, min_run)
+        if not ids.size:
+            return []
+        starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+        lengths = np.diff(np.append(starts, ids.size))
+        kept = ids[starts][lengths >= min_run]
+        if kept.size:
+            kept = kept[np.concatenate([[True], kept[1:] != kept[:-1]])]
+        return [self.region_table[int(i)] for i in kept]
 
 
 def fold_lines(folded: FoldedSamples, trace: Trace) -> FoldedLines:

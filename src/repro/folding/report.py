@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.extrae.trace import Trace
 from repro.folding.address import FoldedAddresses
+from repro.folding.cache import fold_key_params
 from repro.folding.detect import FoldInstances
 from repro.folding.fold import FoldedSamples
 from repro.folding.lines import FoldedLines
@@ -264,12 +265,13 @@ def fold_trace(
         if cacheable:
             key = cache.key(
                 trace,
-                kind="extrapolated",
-                grid_points=grid_points,
-                bandwidth=bandwidth,
-                prune_tolerance=prune_tolerance,
-                rep_budget=rep_budget,
-                rep_seed=rep_seed,
+                **fold_key_params(
+                    grid_points,
+                    bandwidth,
+                    prune_tolerance,
+                    rep_budget=rep_budget,
+                    rep_seed=rep_seed,
+                ),
             )
             hit = cache.get(key)
             if isinstance(hit, ExtrapolatedFold):
@@ -292,10 +294,9 @@ def fold_trace(
     if cacheable:
         key = cache.key(
             trace,
-            grid_points=grid_points,
-            bandwidth=bandwidth,
-            prune_tolerance=prune_tolerance,
-            align_regions=align_regions,
+            **fold_key_params(
+                grid_points, bandwidth, prune_tolerance, align_regions
+            ),
         )
         hit = cache.get(key)
         # A counters-only streamed entry can share this key; the

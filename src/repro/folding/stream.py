@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.extrae.trace import Trace
 from repro.folding.address import AddressStream
+from repro.folding.cache import fold_key_params
 from repro.folding.detect import FoldInstances, instances_from_iterations
 from repro.folding.fold import (
     FoldPrologue,
@@ -261,10 +262,7 @@ def stream_fold_trace(
         if dirs is None:
             key = cache.key(
                 trace,
-                grid_points=grid_points,
-                bandwidth=bandwidth,
-                prune_tolerance=prune_tolerance,
-                align_regions=None,
+                **fold_key_params(grid_points, bandwidth, prune_tolerance),
                 **subset,
             )
             hit = cache.get(key)

@@ -12,10 +12,11 @@ trace:
   :class:`~repro.folding.lines.LineTableBuilder`; the matrices are
   exact per bin and digest-equal to binning the resident points
   (:func:`lines_from_folded`);
-* ``dominant_region`` is exact for bin-aligned windows;
-  ``region_sequence`` walks the bins in σ order, which matches the
-  per-sample sequence only where regions occupy contiguous σ spans
-  (phase-shaped workloads such as STREAM), not in general.
+* ``dominant_region`` is exact for bin-aligned windows.  There is no
+  streamed ``region_sequence``: the binned matrices cannot reproduce
+  the per-sample :meth:`FoldedLines.region_sequence` (the order of
+  regions sharing a σ bin is lost), so that query needs the resident
+  fold.
 
 The driver lives in :func:`repro.folding.stream.stream_fold_trace`
 (``directions=("counters", "address", "lines")``); this module holds
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.folding.address import FoldedAddresses, _hash_arrays
-from repro.folding.lines import FoldedLines, LineTableBuilder, region_runs
+from repro.folding.lines import FoldedLines, LineTableBuilder
 from repro.folding.report import (
     export_addresses_dat,
     export_counters_dat,
@@ -65,9 +66,7 @@ class StreamedLines:
     Fixed (line × σ-bin) and (region × σ-bin) count matrices over the
     same tables a resident fold would build.  Windowed queries
     (``dominant_region``) are exact whenever the window is bin-aligned
-    (any multiple of ``1 / sigma_bins``); ``region_sequence`` walks the
-    bins in σ order and reproduces the resident sequence for
-    phase-shaped workloads, where regions occupy contiguous σ spans.
+    (any multiple of ``1 / sigma_bins``).
     """
 
     line_table: list[tuple[str, str, int]]
@@ -94,22 +93,6 @@ class StreamedLines:
         if not counts.any():
             raise ValueError(f"no samples in window [{lo}, {hi})")
         return self.region_table[int(np.argmax(counts))]
-
-    def region_sequence(self, min_run: int = 5) -> list[str]:
-        """Regions in σ order, short runs dropped — the streamed
-        counterpart of :meth:`FoldedLines.region_sequence`.
-
-        Each occupied σ bin is attributed to its dominant region; a
-        run's length is the dominant region's sample count across the
-        run's bins.
-        """
-        occupied = np.flatnonzero(self.region_counts.sum(axis=0) > 0)
-        if not occupied.size:
-            return []
-        dom = np.argmax(self.region_counts[:, occupied], axis=0)
-        return region_runs(
-            dom, self.region_counts[dom, occupied], self.region_table, min_run
-        )
 
     def digest(self) -> str:
         """Hex SHA-256, canonicalized by sorting rows by table key.

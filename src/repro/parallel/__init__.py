@@ -9,10 +9,12 @@ traffic is modeled inside each rank's stream (see
 ``HpcgWorkload._halo_exchange``) because only the *addresses* of halo
 data matter to the memory analysis, not the values.
 
-:mod:`repro.parallel.sweeps` reuses the same pool machinery for fold
-parameter sweeps (bandwidth/grid points against one shared
+:mod:`repro.parallel.sweeps` runs fold parameter sweeps
+(bandwidth/grid points against one shared
 :class:`~repro.folding.plan.FoldPlan` per worker) and seed-stability
-sweeps.
+sweeps.  Every pooled path here, and
+:func:`repro.analysis.ranks.fold_ranks`, goes through the one process
+pool map of :mod:`repro.parallel.pool` and its failure policy.
 """
 
 from repro.parallel.ranks import (

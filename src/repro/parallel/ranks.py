@@ -14,31 +14,29 @@ matter how many ranks ran.
 
 Scheduling is streaming: :meth:`RankSet.stream` yields ranks as they
 complete (or in rank order), supports ``max_workers < n_ranks``
-oversubscription, a ``progress`` callback, and a per-rank in-process
-retry when a pool worker dies mid-run.  The serial in-process path
-remains available (one worker, an unpicklable factory, or an
-unspawnable pool) and is bit-identical: both paths run the same
+oversubscription and a ``progress`` callback.  The pool itself is
+:func:`repro.parallel.pool.pool_map`, with its one failure policy: an
+unpicklable factory or an unspawnable pool runs every rank serially
+in-process, a dead worker reruns only its ranks in-process, and an
+exception raised by the workload propagates.  Every path runs the same
 :func:`_run_rank` with the same derived per-rank seed, and a spilled
-trace round-trips with its content digest unchanged.  Whenever a pool
-fallback happens, the reason lands on :attr:`RankSet.last_fallback_reason`
-and in the ``repro.parallel`` log.
+trace round-trips with its content digest unchanged, so the results are
+bit-identical.  Whenever a fallback happens, the reason lands on
+:attr:`RankSet.last_fallback_reason` and in the ``repro.parallel`` log.
 """
 
 from __future__ import annotations
 
 import atexit
 import logging
-import os
-import pickle
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.extrae.trace import Trace
+from repro.parallel.pool import pool_map, worker_count
 from repro.pipeline import Session, SessionConfig
 from repro.workloads.base import Workload
 
@@ -128,29 +126,18 @@ class RankResult:
         )
 
 
-def _pickled_or_none(obj) -> bytes | None:
-    """*obj* pickled once, or ``None`` when it cannot be (lambdas,
-    closures).  The bytes are reused for every pool submission, so the
-    probe is also the payload — nothing is pickled twice."""
-    try:
-        return pickle.dumps(obj)
-    except Exception:
-        return None
-
-
 def _run_rank(
+    job: tuple[int, SessionConfig, Callable[[int, int], Workload], str | None],
     rank: int,
-    n_ranks: int,
-    config: SessionConfig,
-    workload_factory: Callable[[int, int], Workload],
-    spill_dir: str | None = None,
 ) -> RankResult:
     """Build and run one rank's session (top-level for picklability).
 
-    With *spill_dir* the finished trace is saved as a v2 uncompressed
-    container and the result carries only the summary; without it the
-    trace stays attached in memory.
+    *job* is ``(n_ranks, config, workload_factory, spill_dir)``, shared
+    by every rank of a run.  With a spill directory the finished trace
+    is saved as a v2 uncompressed container and the result carries only
+    the summary; without one the trace stays attached in memory.
     """
+    n_ranks, config, workload_factory, spill_dir = job
     derived = derive_rank_config(config, rank)
     session = Session(derived)
     workload = workload_factory(rank, n_ranks)
@@ -160,7 +147,7 @@ def _run_rank(
     path: str | None = None
     if spill_dir is not None:
         path = str(Path(spill_dir) / SPILL_PATTERN.format(rank=rank))
-        trace.save(path, version=2, compression="none")
+        trace.save(path, compression="none")
     summary = RankSummary(
         rank=rank,
         n_ranks=n_ranks,
@@ -173,20 +160,6 @@ def _run_rank(
         path=path,
     )
     return RankResult(summary, trace=None if path is not None else trace)
-
-
-def _run_rank_pickled(
-    rank: int,
-    n_ranks: int,
-    config: SessionConfig,
-    factory_bytes: bytes,
-    spill_dir: str,
-) -> RankResult:
-    """Pool entry point: the factory arrives pre-pickled (exactly the
-    bytes the parent's one-time probe produced)."""
-    return _run_rank(
-        rank, n_ranks, config, pickle.loads(factory_bytes), spill_dir
-    )
 
 
 class RankSet:
@@ -224,19 +197,13 @@ class RankSet:
     ) -> None:
         if n_ranks < 1:
             raise ValueError(f"need at least one rank, got {n_ranks}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
+        worker_count(max_workers, n_ranks)  # validates max_workers
         self.n_ranks = n_ranks
         self.config = config or SessionConfig()
         self.max_workers = max_workers
         self.last_fallback_reason: str | None = None
         self.spill_dir: Path | None = None
         self._owns_spill = False
-
-    def _resolve_workers(self) -> int:
-        if self.max_workers is not None:
-            return min(self.max_workers, self.n_ranks)
-        return min(self.n_ranks, os.cpu_count() or 1)
 
     # -- spill lifecycle ----------------------------------------------------
     def _prepare_spill(self, spill_dir: str | Path | None) -> str:
@@ -291,131 +258,41 @@ class RankSet:
     ) -> Iterator[RankResult]:
         """Run every rank, yielding results as a stream.
 
-        With more than one worker, ranks execute in a process pool,
-        each worker spills its trace to the run-scoped directory, and
-        only :class:`RankSummary` records cross the pipe — the parent
-        holds at most the one rank's samples it is currently looking
-        at.  ``ordered=False`` (default) yields in completion order;
+        With more than one worker, ranks execute in a process pool
+        (:func:`~repro.parallel.pool.pool_map`), each worker spills its
+        trace to the run-scoped directory, and only
+        :class:`RankSummary` records cross the pipe — the parent holds
+        at most the one rank's samples it is currently looking at.
+        ``ordered=False`` (default) yields in completion order;
         ``ordered=True`` buffers summaries (not traces — buffering is
         cheap) to yield in rank order.
 
-        A rank whose pool worker dies (``BrokenProcessPool``) is
-        retried once, in-process; any other pool-level failure falls
-        back to the serial path for the remaining ranks.  Serial
-        execution spills only when *spill_dir* is given explicitly.
+        A rank whose pool worker dies (``BrokenProcessPool``) is rerun
+        in-process; an unpicklable factory or an unspawnable pool runs
+        every rank in-process.  A run that attempts the pool spills
+        even when it falls back; a serial run spills only when
+        *spill_dir* is given explicitly.
 
         ``progress(done, total, summary)`` is called as each rank
         finishes, regardless of path.
         """
         self.last_fallback_reason = None
         total = self.n_ranks
-        done = 0
-
-        def advance(result: RankResult) -> RankResult:
-            nonlocal done
-            done += 1
+        spill = None
+        if spill_dir is not None or worker_count(self.max_workers, total) > 1:
+            spill = self._prepare_spill(spill_dir)
+        results = pool_map(
+            _run_rank,
+            (total, self.config, workload_factory, spill),
+            range(total),
+            self.max_workers,
+            self._fallback,
+            ordered=ordered,
+        )
+        for done, result in enumerate(results, 1):
             if progress is not None:
                 progress(done, total, result.summary)
-            return result
-
-        workers = self._resolve_workers()
-        factory_bytes = None
-        if workers > 1 and total > 1:
-            factory_bytes = _pickled_or_none(workload_factory)
-            if factory_bytes is None:
-                self._fallback(
-                    "workload factory is not picklable (lambda/closure?)"
-                )
-        if factory_bytes is not None:
-            # Pool creation and submission happen before the first
-            # yield, so falling back here never duplicates a rank the
-            # caller already received.
-            pooled = None
-            try:
-                pooled = self._submit_all(workers, factory_bytes, spill_dir)
-            except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-                # Pool never became usable (e.g. a sandbox forbids
-                # spawning processes): redo everything serially.
-                self._fallback(
-                    f"process pool unavailable ({type(exc).__name__}: {exc})"
-                )
-            if pooled is not None:
-                pool, futures, spill = pooled
-                try:
-                    yield from self._harvest(
-                        pool, futures, spill, workload_factory, ordered,
-                        advance,
-                    )
-                finally:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                return
-        serial_spill = (
-            self._prepare_spill(spill_dir) if spill_dir is not None else None
-        )
-        for rank in range(total):
-            yield advance(
-                _run_rank(
-                    rank, total, self.config, workload_factory, serial_spill
-                )
-            )
-
-    def _submit_all(
-        self,
-        workers: int,
-        factory_bytes: bytes,
-        spill_dir: str | Path | None,
-    ):
-        """Spawn the pool and submit every rank (raises on failure)."""
-        spill = self._prepare_spill(spill_dir)
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = {
-                pool.submit(
-                    _run_rank_pickled, rank, self.n_ranks, self.config,
-                    factory_bytes, spill,
-                ): rank
-                for rank in range(self.n_ranks)
-            }
-        except Exception:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        return pool, futures, spill
-
-    def _harvest(
-        self,
-        pool: ProcessPoolExecutor,
-        futures: dict,
-        spill: str,
-        workload_factory: Callable[[int, int], Workload],
-        ordered: bool,
-        advance: Callable[[RankResult], RankResult],
-    ) -> Iterator[RankResult]:
-        """Yield results ``as_completed``, retrying dead-worker ranks."""
-        held: dict[int, RankResult] = {}
-        next_rank = 0
-        for future in as_completed(futures):
-            rank = futures[future]
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                # The worker died mid-run (OOM kill, crash).  Retry
-                # this rank once, in-process — same _run_rank, same
-                # derived seed, so the result is identical to what
-                # the worker would have produced.
-                self._fallback(
-                    f"pool worker died running rank {rank}; retried "
-                    f"in-process"
-                )
-                result = _run_rank(
-                    rank, self.n_ranks, self.config, workload_factory, spill
-                )
-            if not ordered:
-                yield advance(result)
-                continue
-            held[rank] = result
-            while next_rank in held:
-                yield advance(held.pop(next_rank))
-                next_rank += 1
+            yield result
 
     def run(
         self,
@@ -446,5 +323,6 @@ class RankSet:
         """Run only a representative interior rank (both halos present)
         — what the paper's single-task folded analysis looks at."""
         return _run_rank(
-            self.n_ranks // 2, self.n_ranks, self.config, workload_factory
+            (self.n_ranks, self.config, workload_factory, None),
+            self.n_ranks // 2,
         )

@@ -5,37 +5,36 @@ ablation in :mod:`benchmarks` or a seed-stability study — is
 embarrassingly parallel: the expensive trace-dependent work is shared
 (one :class:`~repro.folding.plan.FoldPlan` per trace), and each point
 is an independent fit.  :func:`fold_sweep` ships the trace to each
-worker **once** (pre-pickled in the parent, delivered through the pool
-initializer), builds the plan there, and folds that worker's share of
-points against it; :func:`seed_sweep` runs a workload at several seeds
-and folds each resulting trace.
+worker **once**, builds the plan there on the first point, and folds
+that worker's share of points against it; :func:`seed_sweep` runs a
+workload at several seeds and folds each resulting trace.
 
-Both functions reuse the serial-fallback discipline of
-:class:`~repro.parallel.ranks.RankSet`: one worker, an unpicklable
-input, or a sandbox that cannot spawn processes all fall back to a
-sequential in-process loop producing bit-identical results, and the
-fallback reason is logged on the ``repro.parallel`` logger.  Inputs are
-pickled exactly once — the picklability probe's output *is* the payload
-the workers receive.
+Both run on :func:`repro.parallel.pool.pool_map` and share its failure
+policy with :class:`~repro.parallel.ranks.RankSet`: one worker, an
+unpicklable input or a sandbox that cannot spawn processes runs every
+point in-process; a dead worker reruns only its points in-process; an
+exception raised by a fold propagates.  Every path produces
+bit-identical results, and each fallback is logged on the
+``repro.parallel`` logger.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import logging
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from repro.extrae.trace import Trace
 from repro.folding.plan import FoldPlan
 from repro.folding.report import FoldedReport
-from repro.parallel.ranks import _pickled_or_none, logger
+from repro.parallel.pool import pool_map
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads.base import Workload
 
 __all__ = ["SweepPoint", "SweepResult", "SeedResult", "fold_sweep", "seed_sweep"]
+
+logger = logging.getLogger("repro.parallel")
 
 
 @dataclass(frozen=True)
@@ -62,26 +61,27 @@ class SeedResult:
     report: FoldedReport
 
 
-# Per-worker state: the plan is built once per worker process by the
-# pool initializer and reused for every point that worker folds.
-_WORKER_PLAN: FoldPlan | None = None
+@dataclass
+class _SweepInput:
+    """What every point of a fold sweep shares: the trace and the plan
+    parameters.  The plan is built on first use in each process that
+    holds a copy — once per pool worker, once in-process."""
+
+    trace: Trace
+    prune_tolerance: float | None
+    align_regions: tuple[str, ...] | None
+
+    @cached_property
+    def plan(self) -> FoldPlan:
+        return FoldPlan.from_trace(
+            self.trace,
+            prune_tolerance=self.prune_tolerance,
+            align_regions=self.align_regions,
+        )
 
 
-def _init_fold_worker(
-    trace_bytes: bytes,
-    prune_tolerance: float | None,
-    align_regions: tuple[str, ...] | None,
-) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = FoldPlan.from_trace(
-        pickle.loads(trace_bytes),
-        prune_tolerance=prune_tolerance,
-        align_regions=align_regions,
-    )
-
-
-def _fold_point(point: SweepPoint) -> FoldedReport:
-    report = _WORKER_PLAN.fold(
+def _fold_point(sweep: _SweepInput, point: SweepPoint) -> FoldedReport:
+    report = sweep.plan.fold(
         grid_points=point.grid_points, bandwidth=point.bandwidth
     )
     # The caller already holds the trace; don't pickle it back per point.
@@ -109,79 +109,37 @@ def fold_sweep(
     ``max_workers=None`` picks ``min(n_points, cpu_count)``; ``1``
     forces the serial path.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
     points = [
         SweepPoint(grid_points=g, bandwidth=b)
         for g in grid_points
         for b in bandwidths
     ]
-    if not points:
-        return []
-    workers = (
-        min(max_workers, len(points))
-        if max_workers is not None
-        else min(len(points), os.cpu_count() or 1)
+    reports = pool_map(
+        _fold_point,
+        _SweepInput(trace, prune_tolerance, align_regions),
+        points,
+        max_workers,
+        partial(logger.info, "fold_sweep fallback: %s"),
     )
-    if workers > 1 and len(points) > 1:
-        trace_bytes = _pickled_or_none(trace)
-        if trace_bytes is None:
-            logger.info("fold_sweep fallback: trace is not picklable")
-        else:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_fold_worker,
-                    initargs=(trace_bytes, prune_tolerance, align_regions),
-                ) as pool:
-                    futures = [pool.submit(_fold_point, p) for p in points]
-                    reports = [f.result() for f in futures]
-                for report in reports:
-                    report.trace = trace
-                return [SweepResult(p, r) for p, r in zip(points, reports)]
-            except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-                # Pool unavailable (e.g. a sandbox forbids spawning):
-                # redo the identical computation serially.
-                logger.info(
-                    "fold_sweep fallback: process pool unavailable "
-                    "(%s: %s)", type(exc).__name__, exc,
-                )
-    plan = FoldPlan.from_trace(
-        trace, prune_tolerance=prune_tolerance, align_regions=align_regions
-    )
-    return [
-        SweepResult(
-            p, plan.fold(grid_points=p.grid_points, bandwidth=p.bandwidth)
-        )
-        for p in points
-    ]
+    results = [SweepResult(p, r) for p, r in zip(points, list(reports))]
+    for result in results:
+        result.report.trace = trace  # stripped by _fold_point
+    return results
 
 
 def _run_seed(
-    seed: int,
-    config: SessionConfig,
-    workload_factory: Callable[[], Workload],
-    grid_points: int,
-    bandwidth: float,
+    job: tuple[SessionConfig, Callable[[], Workload], int, float], seed: int
 ) -> SeedResult:
-    """Run and fold one seed (top-level for picklability)."""
+    """Run and fold one seed (top-level for picklability).
+
+    *job* is ``(config, workload_factory, grid_points, bandwidth)``,
+    shared by every seed of a sweep.
+    """
+    config, workload_factory, grid_points, bandwidth = job
     trace = run_workload(workload_factory(), config.with_seed(seed))
     plan = FoldPlan.from_trace(trace)
     return SeedResult(
         seed=seed, report=plan.fold(grid_points=grid_points, bandwidth=bandwidth)
-    )
-
-
-def _run_seed_pickled(
-    seed: int,
-    config: SessionConfig,
-    factory_bytes: bytes,
-    grid_points: int,
-    bandwidth: float,
-) -> SeedResult:
-    """Pool entry point: the factory arrives pre-pickled."""
-    return _run_seed(
-        seed, config, pickle.loads(factory_bytes), grid_points, bandwidth
     )
 
 
@@ -202,38 +160,12 @@ def seed_sweep(
     factory must be a picklable top-level callable for the pool path
     and is pickled exactly once.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be positive, got {max_workers}")
-    config = config or SessionConfig()
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    workers = (
-        min(max_workers, len(seeds))
-        if max_workers is not None
-        else min(len(seeds), os.cpu_count() or 1)
+    return list(
+        pool_map(
+            _run_seed,
+            (config or SessionConfig(), workload_factory, grid_points, bandwidth),
+            seeds,
+            max_workers,
+            partial(logger.info, "seed_sweep fallback: %s"),
+        )
     )
-    if workers > 1 and len(seeds) > 1:
-        factory_bytes = _pickled_or_none(workload_factory)
-        if factory_bytes is None:
-            logger.info("seed_sweep fallback: factory is not picklable")
-        else:
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_seed_pickled, seed, config, factory_bytes,
-                            grid_points, bandwidth,
-                        )
-                        for seed in seeds
-                    ]
-                    return [f.result() for f in futures]
-            except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-                logger.info(
-                    "seed_sweep fallback: process pool unavailable "
-                    "(%s: %s)", type(exc).__name__, exc,
-                )
-    return [
-        _run_seed(seed, config, workload_factory, grid_points, bandwidth)
-        for seed in seeds
-    ]

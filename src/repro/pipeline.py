@@ -39,9 +39,7 @@ __all__ = [
     "analyze_hpcg",
     "analyze_hpcg_ranks",
     "publish_trace",
-    "repfold_trace",
     "run_workload",
-    "streamfold_trace",
 ]
 
 
@@ -165,83 +163,6 @@ def publish_trace(trace, repo_root=None, *, extra_meta: dict | None = None):
     from repro.repo import TraceRepo
 
     return TraceRepo(repo_root).put(trace, extra_meta=extra_meta)
-
-
-def streamfold_trace(
-    source,
-    bandwidth: float = 0.015,
-    grid_points: int = 201,
-    chunk_rows: int | None = None,
-    cache=None,
-    directions=None,
-):
-    """Fold a trace chunk by chunk with O(chunk + summary) memory.
-
-    The pipeline-level face of
-    :func:`repro.folding.stream.stream_fold_trace`: *source* is a
-    :class:`~repro.extrae.trace.Trace` or a path to a saved container —
-    pass the *path* of a big trace so only O(chunk) column slices are
-    ever resident.  By default returns a counters-only
-    :class:`~repro.folding.model.PerformanceFold` whose curves, totals
-    and degenerate flags are bit-identical to the resident
-    :func:`~repro.folding.report.fold_trace` at the same parameters
-    (cache entries shared with resident folds);
-    with ``directions=("counters", "address", "lines")`` returns the
-    three-direction
-    :class:`~repro.folding.stream_views.StreamedReport` — exact
-    address accounting, bounded reservoir/sketch scatter, streamed
-    line track — cached under its own ``kind="streamed"`` keys.
-    """
-    from repro.folding.stream import DEFAULT_CHUNK_ROWS, stream_fold_trace
-
-    return stream_fold_trace(
-        source,
-        chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
-        grid_points=grid_points,
-        bandwidth=bandwidth,
-        cache=cache,
-        directions=directions,
-    )
-
-
-def repfold_trace(
-    source,
-    budget: int,
-    seed: int = 0,
-    bandwidth: float = 0.015,
-    grid_points: int = 201,
-    cache=None,
-    measure: bool = False,
-):
-    """Fold only *budget* representative instances and extrapolate.
-
-    The pipeline-level face of representative-instance sampling:
-    cluster the trace's instances by access-pattern signature, fold the
-    cluster medoids only, and reweight — the per-sample cost scales
-    with *budget* instead of the instance count.  Returns a
-    counters-only :class:`~repro.folding.extrapolate.ExtrapolatedFold`;
-    with ``measure=True`` the exact fold is also computed and the
-    result carries a measured
-    :class:`~repro.folding.extrapolate.FidelityBound` (small
-    digest-checked runs only — it costs the full fold).
-    """
-    from repro.folding.extrapolate import measure_fidelity
-
-    trace = source if isinstance(source, Trace) else Trace.load(source)
-    if measure:
-        ext, _ = measure_fidelity(
-            trace, budget, seed=seed,
-            grid_points=grid_points, bandwidth=bandwidth,
-        )
-        return ext
-    return fold_trace(
-        trace,
-        grid_points=grid_points,
-        bandwidth=bandwidth,
-        cache=cache,
-        rep_budget=budget,
-        rep_seed=seed,
-    )
 
 
 def analyze_hpcg(

@@ -150,7 +150,7 @@ class TraceRepo:
             fd, tmp = tempfile.mkstemp(dir=entry_dir, suffix=".staging")
             os.close(fd)
             try:
-                trace.save(tmp, version=2, compression="none")
+                trace.save(tmp, compression="none")
                 os.replace(tmp, container)
             except BaseException:
                 Path(tmp).unlink(missing_ok=True)

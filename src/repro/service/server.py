@@ -11,7 +11,9 @@ is how it stays fast under many concurrent clients:
 * **Bounded fold workers** — cold folds never run on the event loop:
   they are dispatched to a ``ProcessPoolExecutor`` of ``workers``
   processes (:func:`~repro.service.work.fold_payload_job`), so fold
-  CPU is capped and the loop keeps answering cheap queries.
+  CPU is capped and the loop keeps answering cheap queries.  A worker
+  that dies mid-fold breaks the pool; the server replaces it and
+  retries that fold once.
 * **Request coalescing** — concurrent requests for the same
   ``(digest, fold parameters)`` await one shared future; the fold is
   computed once and fanned out.
@@ -44,10 +46,11 @@ import hashlib
 import json
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache
+from repro.folding.cache import FOLD_CACHE_VERSION, FoldCache, fold_key_params
 from repro.repo import RepoError, TraceRepo
 from repro.service.payloads import (
     PAYLOAD_VERSION,
@@ -58,7 +61,7 @@ from repro.service.payloads import (
     seal,
 )
 from repro.service.tables import SharedTraceCache
-from repro.service.work import FOLD_DIRECTIONS, fold_cache_params, fold_payload_job
+from repro.service.work import FOLD_DIRECTIONS, fold_payload_job
 
 __all__ = ["AnalysisServer", "HttpError"]
 
@@ -521,14 +524,24 @@ class AnalysisServer:
             return canonical_bytes(warm)
         self.counters["folds_cold"] += 1
         loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._pool,
+        job = (
             fold_payload_job,
             str(self.repo.path(digest)),
             direction,
             params,
             str(self.cache_dir),
         )
+        pool = self._pool
+        try:
+            payload = await loop.run_in_executor(pool, *job)
+        except BrokenProcessPool:
+            # A worker died (OOM kill, crash) and took the pool down
+            # with it: replace the pool (once, however many folds saw it
+            # break) and retry this fold on the new one.
+            if self._pool is pool:
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            payload = await loop.run_in_executor(self._pool, *job)
         return canonical_bytes(payload)
 
     def _warm_fold_payload(
@@ -542,9 +555,15 @@ class AnalysisServer:
         """
         from repro.folding.report import FoldedReport
 
-        key_params = fold_cache_params(params)
-        kind = key_params.pop("kind")
-        key = self.fold_cache.key_digest(digest, kind=kind, **key_params)
+        key = self.fold_cache.key_digest(
+            digest,
+            **fold_key_params(
+                params["grid_points"],
+                params["bandwidth"],
+                rep_budget=params["rep_budget"] or None,
+                rep_seed=params["rep_seed"],
+            ),
+        )
         hit = self.fold_cache.get(key)
         if hit is None:
             return None

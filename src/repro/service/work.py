@@ -1,7 +1,7 @@
 """Cold-fold jobs executed in the service's bounded worker pool.
 
 One module-level entry point, :func:`fold_payload_job`, picklable into
-a ``ProcessPoolExecutor``: load the container (lazily — columns
+the server's worker pool: load the container (lazily — columns
 arrive as memory maps inside the worker), fold it through the exact
 library paths the batch CLI uses, and return the JSON-able payload.
 The worker shares the service's on-disk :class:`FoldCache` directory,
@@ -19,35 +19,9 @@ from repro.service.payloads import (
     lines_payload,
 )
 
-__all__ = ["FOLD_DIRECTIONS", "fold_cache_params", "fold_payload_job"]
+__all__ = ["FOLD_DIRECTIONS", "fold_payload_job"]
 
 FOLD_DIRECTIONS = ("counters", "address", "lines")
-
-
-def fold_cache_params(params: dict) -> dict:
-    """The (kind, key-params) pair a fold request addresses in FoldCache.
-
-    Shared between the server (warm-path lookups via
-    :meth:`FoldCache.key_digest`) and this worker (stores via
-    :meth:`FoldCache.key`), so both sides compute identical content
-    addresses — the coherence the warm path rests on.
-    """
-    if params.get("rep_budget"):
-        return {
-            "kind": "extrapolated",
-            "grid_points": params["grid_points"],
-            "bandwidth": params["bandwidth"],
-            "prune_tolerance": 0.5,
-            "rep_budget": params["rep_budget"],
-            "rep_seed": params.get("rep_seed", 0),
-        }
-    return {
-        "kind": "report",
-        "grid_points": params["grid_points"],
-        "bandwidth": params["bandwidth"],
-        "prune_tolerance": 0.5,
-        "align_regions": None,
-    }
 
 
 def fold_payload_job(

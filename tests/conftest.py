@@ -4,6 +4,8 @@ Expensive artifacts (traced + folded HPCG runs) are session-scoped so
 the analysis/folding test modules share one simulation.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.figures import build_figure1
@@ -12,6 +14,15 @@ from repro.folding.report import fold_trace
 from repro.pipeline import Session, SessionConfig
 from repro.simproc.sampler import SAMPLER_NAMES
 from repro.workloads import HpcgConfig, HpcgWorkload
+
+#: Committed v1 containers (see ``tests/fixtures/README.md``).
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def v1_fixture(name: str) -> Path:
+    """Path of the committed v1 container ``<name>_v1.bsctrace``."""
+    return FIXTURES / f"{name}_v1.bsctrace"
+
 
 #: Sampling backends the cross-backend differential matrix runs over.
 SAMPLER_BACKENDS = tuple(SAMPLER_NAMES)

@@ -30,7 +30,7 @@ def trace():
 @pytest.fixture(scope="module", params=["none", "deflate"])
 def saved(request, trace, tmp_path_factory):
     path = tmp_path_factory.mktemp("chunks") / f"t-{request.param}.bsctrace"
-    trace.save(path, version=2, compression=request.param)
+    trace.save(path, compression=request.param)
     return path
 
 

@@ -16,6 +16,7 @@ from repro.extrae.trace import (
     _LazySampleTable,
 )
 
+from tests.conftest import v1_fixture
 from tests.extrae.test_trace_fastpath import run_trace
 
 GOLDEN = "tests/golden"
@@ -34,8 +35,13 @@ class TestRoundTrip:
     def test_digest_and_columns_preserved(
         self, traced, tmp_path, version, compression
     ):
-        path = tmp_path / f"t_v{version}_{compression}.bsctrace"
-        traced.save(path, version=version, compression=compression)
+        if version == 1:
+            # v1 is read-only: load this trace's committed v1 container.
+            path = v1_fixture("stream_vectorized")
+        else:
+            path = traced.save(
+                tmp_path / f"t_{compression}.bsctrace", compression=compression
+            )
         loaded = Trace.load(path)
         assert loaded.digest() == traced.digest()
         want = traced.sample_table()
@@ -48,19 +54,10 @@ class TestRoundTrip:
         assert loaded.labels == traced.labels
         assert len(loaded.events) == len(traced.events)
 
-    def test_v1_to_v2_to_v1_is_stable(self, traced, tmp_path):
-        digest = traced.digest()
-        p1, p2, p1b = (tmp_path / n for n in ("a.bsctrace", "b.bsctrace", "c.bsctrace"))
-        traced.save(p1, version=1)
-        t1 = Trace.load(p1)
-        t1.save(p2, version=2, compression="deflate")
-        t2 = Trace.load(p2)
-        t2.save(p1b, version=1)
-        assert Trace.load(p1b).digest() == digest
-
     def test_invalid_version_and_compression(self, traced, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            traced.save(tmp_path / "x.bsctrace", version=3)
+        # Only the current container is written: no version knob.
+        with pytest.raises(TypeError, match="version"):
+            traced.save(tmp_path / "x.bsctrace", version=1)
         with pytest.raises(ValueError, match="compression"):
             traced.save(tmp_path / "x.bsctrace", compression="lz4")
 
@@ -68,7 +65,7 @@ class TestRoundTrip:
 class TestLazyLoading:
     def test_only_touched_columns_load(self, traced, tmp_path):
         path = tmp_path / "lazy.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         table = Trace.load(path).sample_table()
         assert isinstance(table, _LazySampleTable)
         assert table._reader.loaded == {}
@@ -78,7 +75,7 @@ class TestLazyLoading:
 
     def test_uncompressed_columns_are_memmapped(self, traced, tmp_path):
         path = tmp_path / "mm.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         table = Trace.load(path).sample_table()
         col = table.column("address")
         # Zero-copy: the column is a view over the reader's one shared
@@ -90,7 +87,7 @@ class TestLazyLoading:
 
     def test_deflate_columns_are_plain_arrays(self, traced, tmp_path):
         path = tmp_path / "defl.bsctrace"
-        traced.save(path, version=2, compression="deflate")
+        traced.save(path, compression="deflate")
         table = Trace.load(path).sample_table()
         col = table.column("latency")
         assert not isinstance(col, np.memmap)
@@ -98,7 +95,7 @@ class TestLazyLoading:
 
     def test_member_offset_points_at_raw_data(self, traced, tmp_path):
         path = tmp_path / "off.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         with zipfile.ZipFile(path) as zf:
             info = zf.getinfo("columns/time_ns.bin")
             offset = member_data_offset(path, info)
@@ -109,7 +106,7 @@ class TestLazyLoading:
 
     def test_materialize_detaches_from_file(self, traced, tmp_path):
         path = tmp_path / "mat.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         table = Trace.load(path).sample_table().materialize()
         assert not isinstance(table, _LazySampleTable)
         for name in _SAMPLE_COLUMNS:
@@ -123,7 +120,7 @@ class TestMalformedV2:
     def test_missing_column_rejected(self, traced, tmp_path):
         src = tmp_path / "ok.bsctrace"
         bad = tmp_path / "bad.bsctrace"
-        traced.save(src, version=2, compression="none")
+        traced.save(src, compression="none")
         with zipfile.ZipFile(src) as zin, zipfile.ZipFile(bad, "w") as zout:
             for info in zin.infolist():
                 if info.filename == "columns/latency.bin":
@@ -139,7 +136,7 @@ class TestMalformedV2:
 
     def test_column_reader_validates_lengths(self, traced, tmp_path):
         path = tmp_path / "len.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         reader = ColumnReader(path)
         assert reader.n_samples == traced.n_samples
         assert set(reader.columns()) == set(_SAMPLE_COLUMNS)
@@ -161,7 +158,7 @@ class TestHandleLifecycle:
     @pytest.fixture()
     def saved(self, traced, tmp_path):
         path = tmp_path / "fd.bsctrace"
-        traced.save(path, version=2, compression="none")
+        traced.save(path, compression="none")
         return path
 
     def test_repeated_open_close_is_fd_neutral(self, saved):
@@ -233,7 +230,7 @@ class TestHandleLifecycle:
 
     def test_peek_deflate_falls_back_to_load(self, traced, tmp_path):
         path = tmp_path / "peek_defl.bsctrace"
-        traced.save(path, version=2, compression="deflate")
+        traced.save(path, compression="deflate")
         reader = ColumnReader(path)
         want = traced.sample_table().time_ns
         assert reader.peek("time_ns", 0) == want[0]
@@ -256,5 +253,5 @@ class TestGoldenFixtures:
         src = f"{GOLDEN}/stream_precise.bsctrace"
         trace = Trace.load(src)
         out = tmp_path / "conv.bsctrace"
-        trace.save(out, version=2, compression="deflate")
+        trace.save(out, compression="deflate")
         assert Trace.load(out).digest() == trace.digest()

@@ -8,6 +8,8 @@ import pytest
 
 from repro.extrae.trace import TRACE_SCHEMA_VERSION, Trace, TraceSchemaError
 
+from tests.conftest import v1_fixture
+
 from .conftest import build_session
 
 
@@ -50,8 +52,9 @@ def trace_path(tmp_path):
 
 
 @pytest.fixture()
-def v1_trace_path(tmp_path):
-    return small_trace().save(tmp_path / "t1.bsctrace", version=1)
+def v1_trace_path():
+    """``small_trace()`` as a committed v1 container (read-only)."""
+    return v1_fixture("schema")
 
 
 class TestSchemaVersion:
@@ -61,7 +64,11 @@ class TestSchemaVersion:
         assert sidecar["schema"] == TRACE_SCHEMA_VERSION == 2
 
     def test_v1_save_writes_schema_1(self, v1_trace_path):
+        """The committed fixture is what the v1 writer produced: npz
+        columns and a schema-1 sidecar (a fixture rewritten by the
+        current writer would silently turn the v1 tests into v2 ones)."""
         with zipfile.ZipFile(v1_trace_path) as zf:
+            assert "samples.npz" in zf.namelist()
             sidecar = json.loads(zf.read("trace.json"))
         assert sidecar["schema"] == 1
 
@@ -70,8 +77,9 @@ class TestSchemaVersion:
         assert not [w for w in recwarn.list if "schema" in str(w.message)]
 
     def test_v1_loads_silently(self, v1_trace_path, recwarn):
-        Trace.load(v1_trace_path)
+        loaded = Trace.load(v1_trace_path)
         assert not [w for w in recwarn.list if "schema" in str(w.message)]
+        assert loaded.digest() == small_trace().digest()
 
     def test_unknown_version_rejected(self, trace_path, tmp_path):
         bad = rewrite_sidecar(

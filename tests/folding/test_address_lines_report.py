@@ -112,7 +112,7 @@ class TestFoldedLines:
 
 
 def _loop_region_sequence(ids, weights, table, min_run):
-    """The per-element run-collapse loop ``region_runs`` replaced."""
+    """The per-element run-collapse loop ``region_sequence`` replaced."""
     out, run_id, run_len = [], None, 0
 
     def close():
@@ -132,16 +132,8 @@ def _loop_region_sequence(ids, weights, table, min_run):
 
 
 class TestRegionSequence:
-    """Both line products collapse runs with one helper, and it gives
-    the sequence the per-sample loop gave."""
-
-    @pytest.fixture(scope="class")
-    def streamed_lines(self, hpcg_trace):
-        from repro.folding.stream import stream_fold_trace
-
-        return stream_fold_trace(
-            hpcg_trace, chunk_rows=997, directions=("lines",)
-        ).lines
+    """The vectorized run collapse gives the sequence the per-sample
+    loop gave."""
 
     @pytest.mark.parametrize("min_run", [1, 5, 10])
     def test_resident_matches_loop(self, hpcg_trace, folded, min_run):
@@ -151,17 +143,6 @@ class TestRegionSequence:
             ids, np.ones(ids.size), lines.region_table, min_run
         )
         assert lines.region_sequence(min_run) == want
-        assert want
-
-    @pytest.mark.parametrize("min_run", [1, 5, 10])
-    def test_streamed_matches_loop(self, streamed_lines, min_run):
-        counts = streamed_lines.region_counts
-        occupied = np.flatnonzero(counts.sum(axis=0) > 0)
-        dom = np.argmax(counts[:, occupied], axis=0)
-        want = _loop_region_sequence(
-            dom, counts[dom, occupied], streamed_lines.region_table, min_run
-        )
-        assert streamed_lines.region_sequence(min_run) == want
         assert want
 
 

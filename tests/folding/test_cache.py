@@ -1,6 +1,7 @@
 """Tests for the content-addressed folded-report cache and the trace
 content digest it keys on."""
 
+import inspect
 import os
 import pickle
 import time
@@ -12,9 +13,10 @@ import pytest
 
 from repro.cli import main_cache, main_fold
 from repro.extrae.tracer import TracerConfig
-from repro.folding.cache import FoldCache
+from repro.folding.cache import FoldCache, fold_key_params
 from repro.folding.plan import FoldPlan
 from repro.folding.report import fold_trace
+from repro.folding.stream import stream_fold_trace
 from repro.pipeline import SessionConfig, run_workload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
@@ -82,6 +84,50 @@ class TestCacheKey:
         a = cache.key(trace, align_regions=("a", "b"))
         assert a == cache.key(trace, align_regions=("a", "b"))
         assert a != cache.key(trace, align_regions=("b", "a"))
+
+
+class TestKeyParams:
+    """Every fold path addresses the cache through ``fold_key_params``,
+    and the keys it builds are pinned: entries already on disk stay
+    addressable."""
+
+    DIGEST = "ab" * 32
+
+    def test_report_key_pinned(self, cache):
+        key = cache.key_digest(self.DIGEST, **fold_key_params(201, 0.015))
+        assert key == (
+            "dc7cf8eb8303b477eaa32fa8a1853a8a0e9273559854943b27f48a4d12f078f7"
+        )
+
+    def test_extrapolated_key_pinned(self, cache):
+        params = fold_key_params(101, 0.02, rep_budget=4, rep_seed=3)
+        assert cache.key_digest(self.DIGEST, **params) == (
+            "7271a557021ba5b56ef440d86fd6034e2699b05d723d3644a2800fd7fab85729"
+        )
+
+    def test_counter_subset_key_pinned(self, cache):
+        params = fold_key_params(201, 0.015)
+        key = cache.key_digest(
+            self.DIGEST, **params, counters=("instructions", "cycles")
+        )
+        assert key == (
+            "88fce1aa52d5d526d9321bf69fcdfd58b8036c15adb6eb06c6372a8a3a632b37"
+        )
+
+    def test_defaults_are_the_fold_defaults(self):
+        keys = inspect.signature(fold_key_params).parameters
+        for fold in (fold_trace, stream_fold_trace):
+            for name, param in inspect.signature(fold).parameters.items():
+                if name in keys and keys[name].default is not param.empty:
+                    assert param.default == keys[name].default, (fold, name)
+
+    def test_resident_and_streamed_folds_store_under_it(self, trace, cache):
+        key = cache.key(trace, **fold_key_params(101, 0.02))
+        fold_trace(trace, grid_points=101, bandwidth=0.02, cache=cache)
+        assert cache.get(key) is not None
+        cache.clear()
+        stream_fold_trace(trace, grid_points=101, bandwidth=0.02, cache=cache)
+        assert cache.get(key) is not None
 
 
 class TestFoldCache:

@@ -17,6 +17,7 @@ never alias.
 import numpy as np
 import pytest
 
+from repro.extrae.trace import Trace
 from repro.folding.cache import FoldCache
 from repro.folding.extrapolate import (
     ExtrapolatedFold,
@@ -30,7 +31,7 @@ from repro.folding.reps import (
     select_representatives,
 )
 from repro.folding.stream import fold_digest
-from repro.pipeline import repfold_trace, run_workload
+from repro.pipeline import run_workload
 from repro.simproc.machine import SAMPLE_COUNTERS
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -229,10 +230,10 @@ class TestExtrapolation:
     def test_repfold_trace_from_path(self, trace, tmp_path):
         path = tmp_path / "t.bsctrace"
         trace.save(path)
-        ext = repfold_trace(path, 2)
+        ext = fold_trace(Trace.load(path), rep_budget=2)
         assert isinstance(ext, ExtrapolatedFold)
         assert ext.fidelity is None
-        measured = repfold_trace(trace, 2, measure=True)
+        measured, _bound = measure_fidelity(trace, 2)
         assert measured.fidelity is not None
         assert measured.digest() == ext.digest()
 

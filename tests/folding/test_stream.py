@@ -90,7 +90,7 @@ class TestStreamedEqualsResident:
     @pytest.mark.parametrize("compression", ["none", "deflate"])
     def test_from_saved_container(self, trace, resident, tmp_path, compression):
         path = tmp_path / f"t-{compression}.bsctrace"
-        trace.save(path, version=2, compression=compression)
+        trace.save(path, compression=compression)
         streamed = stream_fold_trace(path, chunk_rows=501)
         assert_stream_matches_resident(streamed, resident)
 

@@ -37,7 +37,7 @@ from repro.folding.report import FoldedReport, fold_trace
 from repro.folding.stream import LiveFold, stream_fold_trace
 from repro.folding.stream_views import StreamedReport, lines_from_folded
 from repro.objects.registry import DataObjectRegistry
-from repro.pipeline import SessionConfig, run_workload, streamfold_trace
+from repro.pipeline import SessionConfig, run_workload
 from repro.workloads import HpcgWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 from tests.conftest import sampler_session_config, small_hpcg_config
@@ -216,11 +216,6 @@ class TestStreamedLinesSemantics:
                 resident.lines.dominant_region(lo, hi)
             )
 
-    def test_region_sequence(self, streamed, resident):
-        assert streamed.lines.region_sequence() == (
-            resident.lines.region_sequence()
-        )
-
     def test_zero_width_window_raises(self, streamed, resident):
         """Zero-width and reversed windows hold no samples: both
         products raise."""
@@ -304,7 +299,12 @@ class TestFoldLinesVectorized:
 
 class TestApiWiring:
     def test_pipeline_face(self, trace, streamed):
-        report = streamfold_trace(trace, chunk_rows=333, directions=DIRECTIONS)
+        """The streamed fold is called directly; the pipeline keeps no
+        wrapper around it."""
+        import repro.pipeline
+
+        assert not hasattr(repro.pipeline, "streamfold_trace")
+        report = stream_fold_trace(trace, chunk_rows=333, directions=DIRECTIONS)
         assert report.digest() == streamed.digest()
 
     def test_counters_only_stays_streamed_fold(self, trace):

@@ -22,7 +22,7 @@ def traced():
 @pytest.fixture(scope="module")
 def container(traced, tmp_path_factory):
     path = tmp_path_factory.mktemp("container") / "t.bsctrace"
-    traced.save(path, version=2, compression="none")
+    traced.save(path, compression="none")
     return path
 
 

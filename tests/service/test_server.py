@@ -1,8 +1,10 @@
 """AnalysisServer: endpoints, caching/ETag semantics, concurrency."""
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,10 +27,9 @@ def traced():
     return run_trace("vectorized", "stream")
 
 
-@pytest.fixture(scope="module")
-def served(traced, tmp_path_factory):
-    """A live server over a one-trace repository (module-shared)."""
-    root = tmp_path_factory.mktemp("service")
+def _serve(traced, root):
+    """Start a server over a one-trace repository in a thread; yields
+    ``(server, entry)`` and stops it afterwards."""
     repo = TraceRepo(root / "repo")
     entry = repo.put(traced)
     server = AnalysisServer(repo, workers=2, trace_cache_capacity=4)
@@ -43,11 +44,32 @@ def served(traced, tmp_path_factory):
     thread.join(timeout=30)
 
 
+@pytest.fixture(scope="module")
+def served(traced, tmp_path_factory):
+    """A live server over a one-trace repository (module-shared)."""
+    yield from _serve(traced, tmp_path_factory.mktemp("service"))
+
+
 @pytest.fixture()
 def client(served):
     server, _entry = served
     with ServiceClient("127.0.0.1", server.port) as c:
         yield c
+
+
+class TestDeadWorker:
+    def test_cold_fold_after_a_worker_died(self, traced, tmp_path):
+        """A fold worker killed mid-run (OOM killer, crash) breaks the
+        pool; the next cold fold replaces it and still answers."""
+        for server, entry in _serve(traced, tmp_path):
+            dead = server._pool.submit(os._exit, 1)
+            with pytest.raises(BrokenProcessPool):
+                dead.result(timeout=60)
+            with ServiceClient("127.0.0.1", server.port) as c:
+                got = c.fold(entry.digest, "counters", grid=141)
+            want = counters_payload(fold_trace(traced, grid_points=141))
+            assert got["payload_digest"] == want["payload_digest"]
+            assert server.counters["errors"] == 0
 
 
 class TestBasicEndpoints:

@@ -16,7 +16,7 @@ def containers(tmp_path_factory):
         trace = run_trace("vectorized", "stream", seed=seed)
         digest = trace.digest()
         path = tmp / f"{digest[:12]}.bsctrace"
-        trace.save(path, version=2, compression="none")
+        trace.save(path, compression="none")
         out[digest] = path
     return out
 

@@ -11,6 +11,8 @@ from repro.cli import (
     main_validate,
 )
 
+from tests.conftest import v1_fixture
+
 
 @pytest.fixture()
 def trace_file(tmp_path):
@@ -241,32 +243,33 @@ class TestTrace:
         assert "time_ns" in out
         assert "samples:" in out
 
-    def test_info_v1(self, trace_file, tmp_path, capsys):
-        from repro.extrae.trace import Trace
-
-        v1 = tmp_path / "v1.bsctrace"
-        Trace.load(trace_file).save(v1, version=1)
-        assert main_trace(["info", str(v1)]) == 0
+    def test_info_v1(self, capsys):
+        assert main_trace(["info", str(v1_fixture("schema"))]) == 0
         out = capsys.readouterr().out
         assert "trace container v1" in out
         assert "deflate (npz)" in out
 
-    def test_convert_round_trip_verified(self, trace_file, tmp_path, capsys):
-        v1 = tmp_path / "v1.bsctrace"
-        v2 = tmp_path / "v2.bsctrace"
+    def test_convert_round_trip_verified(self, tmp_path, capsys):
+        from repro.extrae.trace import Trace
+
+        v1 = v1_fixture("schema")
+        deflated = tmp_path / "deflated.bsctrace"
+        stored = tmp_path / "stored.bsctrace"
         assert main_trace(
-            ["convert", str(trace_file), "-o", str(v1),
-             "--to-version", "1", "--verify"]
+            ["convert", str(v1), "-o", str(deflated),
+             "--compression", "deflate", "--verify"]
         ) == 0
         assert main_trace(
-            ["convert", str(v1), "-o", str(v2), "--to-version", "2",
-             "--compression", "deflate", "--verify"]
+            ["convert", str(deflated), "-o", str(stored), "--verify"]
         ) == 0
         out = capsys.readouterr().out
         assert out.count("digest verified") == 2
-        from repro.extrae.trace import Trace
-
-        assert Trace.load(v2).digest() == Trace.load(trace_file).digest()
+        assert "(v2," in out
+        assert Trace.load(stored).digest() == Trace.load(v1).digest()
+        # Conversion writes only the current container.
+        with pytest.raises(SystemExit):
+            main_trace(["convert", str(v1), "-o", str(stored),
+                        "--to-version", "1"])
 
     def test_run_honours_version_and_compression_flags(self, tmp_path):
         import json
@@ -280,12 +283,10 @@ class TestTrace:
             sidecar = json.loads(zf.read("trace.json"))
         assert sidecar["schema"] == 2
         assert sidecar["compression"] == "deflate"
-        v1 = tmp_path / "v1.bsctrace"
-        assert main_run(["--workload", "stream", "--nx", "16",
-                         "--iterations", "1", "--trace-version", "1",
-                         "-o", str(v1)]) == 0
-        with zipfile.ZipFile(v1) as zf:
-            assert json.loads(zf.read("trace.json"))["schema"] == 1
+        # The container version is not a choice any more.
+        with pytest.raises(SystemExit):
+            main_run(["--workload", "stream", "--trace-version", "1",
+                      "-o", str(tmp_path / "v1.bsctrace")])
 
     def test_trace_dispatch(self, trace_file):
         assert main(["trace", "info", str(trace_file)]) == 0
@@ -316,15 +317,11 @@ class TestTraceInfoLazy:
         assert "samples:" in out
         assert "time span:" in out
 
-    def test_v1_info_reads_only_npy_headers(
-        self, trace_file, tmp_path, capsys, monkeypatch
-    ):
+    def test_v1_info_reads_only_npy_headers(self, capsys, monkeypatch):
         from repro.extrae.trace import Trace
 
-        v1 = tmp_path / "v1.bsctrace"
-        trace = Trace.load(trace_file)
-        n_samples = trace.n_samples
-        trace.save(v1, version=1)
+        v1 = v1_fixture("schema")
+        n_samples = Trace.load(v1).n_samples
 
         def boom(cls, path):
             raise AssertionError("info eagerly loaded the whole trace")

@@ -24,7 +24,7 @@ from repro.workloads import HpcgConfig, HpcgWorkload
 from repro.workloads.randomaccess import RandomAccessConfig, RandomAccessWorkload
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
-from tests.conftest import SAMPLER_BACKENDS, sampler_session_config
+from tests.conftest import SAMPLER_BACKENDS, sampler_session_config, v1_fixture
 
 
 def small_workloads():
@@ -118,12 +118,17 @@ class TestTraceIndex:
 
 
 class TestStorageRoundTrip:
-    """Both container versions preserve the content digest."""
+    """Both container versions preserve the content digest (v1 through
+    a committed container, v2 through a fresh save)."""
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_save_load_preserves_digest(self, sampler_backend, version, tmp_path):
         trace = traced(sampler_backend)
-        path = trace.save(tmp_path / "t.bsctrace", version=version)
+        if version == 1:
+            # v1 is read-only: load this trace's committed v1 container.
+            path = v1_fixture(f"sampler_{sampler_backend}")
+        else:
+            path = trace.save(tmp_path / "t.bsctrace")
         loaded = Trace.load(path)
         assert loaded.digest() == trace.digest()
         assert loaded.metadata.get("sampler") == trace.metadata.get("sampler")
